@@ -6,7 +6,6 @@ from .majorana import (
     PuritySpectrum,
     build_dissipator,
     dirac_from_nambu,
-    fictitious_hamiltonian,
     nambu_from_dirac,
     parent_hamiltonian,
     purity_class,

@@ -6,10 +6,22 @@ ansatz ``gamma ~ sum_m alpha_m c_m`` with site amplitude
 operator to annihilate the mode gives one polynomial condition per momentum
 direction:
 
-    0 = sum_j beta^j (e^{-i phi} u_j + v_j)
+    0 = P(beta) = sum_j beta^j (e^{-i phi} u_j + v_j)
 
 where (u_j, v_j) are the stencil coefficients at offset j.  Real roots beta
 give edge modes decaying on the length scale ``xi = 1/|log|beta||``.
+
+In 1D the real roots of P come from its companion matrix.  In 2D a real root
+(beta_x, beta_y) is a common root of the two real polynomials Re P and Im P.
+Eliminating beta_x with their Sylvester matrix S(beta_y) leaves the resultant
+``det S(beta_y)``, whose real roots are the generalized eigenvalues of a
+block-companion linearization of S (Cox, Little & O'Shea, *Using Algebraic
+Geometry*, ch. 3).  Each such beta_y is substituted back into P for the real
+beta_x roots, and every pair is Newton-polished on (Re P, Im P) and kept only
+if it solves the Laurent condition.  Two 2D conditions have no isolated real
+roots and raise ``ValueError``: one with no imaginary part, and one whose real
+and imaginary parts share a factor (the resultant vanishes identically); in
+both the real roots form curves.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg
 
 from .bloch import BlochStencil
 from .majorana import build_dissipator
@@ -36,6 +48,13 @@ __all__ = [
 ]
 
 _REAL_ROOT_TOL = 1e-10
+# A resultant root of multiplicity m is computed to about eps^(1/m), so 2D
+# candidates are accepted with this looser imaginary part, then Newton-polished
+# and kept only if their Laurent residual passes.
+_CANDIDATE_TOL = 1e-6
+# Relative smallest singular value below which a Sylvester matrix is singular.
+_SINGULAR_TOL = 1e-10
+_PROBES = (0.83 * cmath.exp(0.9j), 1.21 * cmath.exp(2.3j), cmath.exp(-1.7j))
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ def _polish_root(coeffs: np.ndarray, z: complex, steps: int = 3) -> complex:
     return z
 
 
-def _real_nonzero_roots(coeffs: np.ndarray) -> List[float]:
+def _real_nonzero_roots(coeffs: np.ndarray, tol: float = _REAL_ROOT_TOL) -> List[float]:
     """Real nonzero roots of sum_m coeffs[m] beta^m (ascending powers)."""
     c = np.trim_zeros(np.asarray(coeffs, complex), "b")
     if c.size <= 1:
@@ -93,7 +112,7 @@ def _real_nonzero_roots(coeffs: np.ndarray) -> List[float]:
     out: List[float] = []
     for r in roots:
         r = _polish_root(c[::-1], complex(r))
-        if abs(r.imag) <= _REAL_ROOT_TOL * max(1.0, abs(r)) and abs(r) > 1e-12:
+        if abs(r.imag) <= tol * max(1.0, abs(r)) and abs(r) > 1e-12:
             out.append(float(r.real))
     # Deduplicate (multiple roots polish to the same point).
     dedup: List[float] = []
@@ -116,13 +135,17 @@ def solve_beta(stencil: BlochStencil, phase: float = 0.0) -> List[BetaSolution]:
     """All real-decay-factor edge-mode solutions at edge phase ``phase``.
 
     Solves ``sum_j beta^j (e^{-i phase} u_j + v_j) = 0`` for real nonzero
-    beta (one factor per primitive direction).  In 2D the system is solved
-    by factoring when the imaginary part is independent of beta_x (clear
-    denominators, real roots of the imaginary part in beta_y, then of the
-    real part in beta_x), falling back to a scan over beta_y otherwise.
+    beta (one factor per primitive direction).  In 2D the beta_y roots are
+    the real roots of the resultant of the real and imaginary parts in
+    beta_x; each is back-substituted for its real beta_x roots, Newton-
+    polished and validated to a Laurent residual of 1e-8 relative to the
+    largest coefficient.  2D solutions are sorted by (beta_y, beta_x).
 
     Returns an empty list when only complex roots exist.  Raises
-    ``ValueError`` for a degenerate stencil imposing no constraint.
+    ``ValueError`` for a degenerate stencil imposing no constraint, and in 2D
+    when the real roots form a curve instead of isolated points: the
+    condition has no imaginary part, or its real and imaginary parts share a
+    common factor.
     """
     offs, c = _stencil_coeffs(stencil, float(phase))
     if np.abs(c).max() <= 1e-14:
@@ -159,79 +182,123 @@ def _poly_matrix(offs: np.ndarray, c: np.ndarray) -> np.ndarray:
     return C
 
 
-def _eval_poly2(C: np.ndarray, bx: float, by: float) -> complex:
-    vx = bx ** np.arange(C.shape[0])
-    vy = by ** np.arange(C.shape[1])
-    return complex(vx @ C @ vy)
+def _trim_rows(M: np.ndarray) -> np.ndarray:
+    """Drop all-zero leading and trailing rows (beta_x^a factors, degree drop)."""
+    rows = np.nonzero(M.any(axis=1))[0]
+    return M[rows[0]: rows[-1] + 1] if rows.size else M[:0]
+
+
+def _sylvester(Pr: np.ndarray, Pi: np.ndarray) -> np.ndarray:
+    """Sylvester matrix of Pr, Pi in beta_x, as coefficients S[k] of beta_y^k.
+
+    ``Pr[i, k]`` is the coefficient of ``beta_x^i beta_y^k``.  Row i < n holds
+    ``beta_x^i Pr`` and row n + i holds ``beta_x^i Pi`` (m, n their beta_x
+    degrees); ``det sum_k S[k] beta_y^k`` is the resultant ``Res_{beta_x}``.
+    """
+    m, n = Pr.shape[0] - 1, Pi.shape[0] - 1
+    S = np.zeros((Pr.shape[1], m + n, m + n))
+    for i in range(n):
+        S[:, i, i: i + m + 1] = Pr.T
+    for i in range(m):
+        S[:, n + i, i: i + n + 1] = Pi.T
+    return S
+
+
+def _resultant_vanishes(S: np.ndarray) -> bool:
+    """True if ``det S(beta_y)`` is identically zero: S is singular at
+    every probe point (three fixed complex points off the real axis)."""
+    for t in _PROBES:
+        sv = np.linalg.svd(np.tensordot(t ** np.arange(len(S)), S, 1), compute_uv=False)
+        if sv.size == 0 or sv[-1] > _SINGULAR_TOL * sv[0]:
+            return False
+    return True
+
+
+def _real_eigen_roots(S: np.ndarray) -> List[float]:
+    """Real nonzero finite roots of ``det sum_k S[k] lam^k`` from the
+    generalized eigenvalues of its block-companion linearization."""
+    nz = np.nonzero([np.any(Sk) for Sk in S])[0]
+    d = int(nz[-1]) if nz.size else 0
+    if d == 0:
+        return []
+    N = S.shape[1]
+    A = np.eye(N * d, k=N)
+    A[-N:] = -np.concatenate(S[:d], axis=1)
+    B = np.eye(N * d)
+    B[-N:, -N:] = S[d]
+    alpha, beta = linalg.eigvals(A, B, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-12 * np.abs(alpha)
+    lam = alpha[finite] / beta[finite]
+    keep = (np.abs(lam.imag) <= _CANDIDATE_TOL * np.maximum(1.0, np.abs(lam))) & (
+        np.abs(lam) > 1e-12
+    )
+    return [float(x) for x in lam[keep].real]
+
+
+def _newton_polish(C: np.ndarray, bx: float, by: float, steps: int = 8) -> Tuple[float, float]:
+    """Newton on the real 2x2 system (Re P, Im P) = 0 in (beta_x, beta_y).
+
+    Returns the iterate with the smallest |P|, so a step that diverges from
+    a near-singular Jacobian never makes the candidate worse.
+    """
+    px, py = np.arange(C.shape[0]), np.arange(C.shape[1])
+    best, best_f = (bx, by), math.inf
+    for _ in range(steps):
+        vx, vy = bx ** px, by ** py
+        f = complex(vx @ C @ vy)
+        if abs(f) < best_f:
+            best, best_f = (bx, by), abs(f)
+        fx = complex((px[1:] * bx ** px[:-1]) @ C[1:] @ vy)
+        fy = complex(vx @ C[:, 1:] @ (py[1:] * by ** py[:-1]))
+        det = fx.real * fy.imag - fy.real * fx.imag
+        if det == 0.0:
+            break
+        bx -= (f.real * fy.imag - fy.real * f.imag) / det
+        by -= (fx.real * f.imag - f.real * fx.imag) / det
+    return best
 
 
 def _solve_beta_2d(offs: np.ndarray, c: np.ndarray, phase: float) -> List[BetaSolution]:
     C = _poly_matrix(offs, c)
-    pairs: List[Tuple[float, float]] = []
-    im_rows = np.nonzero(np.abs(C.imag).max(axis=1) > 1e-14)[0]
-    if im_rows.size <= 1:
-        # Imaginary part carries a single beta_x power: it factors out, so
-        # the imaginary condition is a polynomial in beta_y alone.
-        row = C.imag[im_rows[0]] if im_rows.size else None
-        by_roots = _real_nonzero_roots(row) if row is not None else []
-        if row is None:
-            raise ValueError("2D condition has no imaginary part; cannot factor")
-        for by in by_roots:
-            re_poly = C.real @ (by ** np.arange(C.shape[1]))
-            for bx in _real_nonzero_roots(re_poly):
-                pairs.append((bx, by))
-    else:
-        pairs = _scan_solve_2d(C)
-    sols = []
     scale = float(np.abs(c).max())
-    for bx, by in pairs:
-        # Validate against the original Laurent condition: clearing the
-        # beta^{-1} denominators introduces a spurious root at the origin.
-        res = abs(sum(cj * bx ** jx * by ** jy for (jx, jy), cj in zip(offs, c))) / scale
-        if res <= 1e-8:
-            sols.append(
-                BetaSolution((bx, by), phase, (_xi(bx), _xi(by)), float(res))
-            )
-    return sols
-
-
-def _scan_solve_2d(
-    C: np.ndarray, by_range: Tuple[float, float] = (-4.0, 4.0), n_scan: int = 4001
-) -> List[Tuple[float, float]]:
-    """Scan beta_y, track the most-real beta_x root, polish local minima."""
-    def misfit(by: float) -> Tuple[float, Optional[float]]:
-        poly = (C @ (by ** np.arange(C.shape[1])))  # ascending beta_x powers
-        roots = _real_nonzero_roots(poly)
-        if roots:
-            return 0.0, roots[0]
-        cc = np.trim_zeros(np.asarray(poly, complex), "b")
-        if cc.size <= 1:
-            return math.inf, None
-        rr = np.roots(cc[::-1])
-        rr = rr[np.abs(rr) > 1e-12]
-        if rr.size == 0:
-            return math.inf, None
-        i = int(np.argmin(np.abs(rr.imag)))
-        return float(abs(rr[i].imag)), float(rr[i].real)
-
-    grid = np.linspace(by_range[0], by_range[1], n_scan)
-    grid = grid[np.abs(grid) > 1e-6]
-    vals = np.array([misfit(by)[0] for by in grid])
-    pairs: List[Tuple[float, float]] = []
-    for i in range(1, len(grid) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < 1e-2:
-            r = optimize.minimize_scalar(
-                lambda by: misfit(by)[0],
-                bracket=(grid[i - 1], grid[i], grid[i + 1]),
-                method="brent",
-                options={"xtol": 1e-14},
-            )
-            by = float(r.x)
-            m, bx = misfit(by)
-            if m <= 1e-9 and bx is not None and abs(bx) > 1e-12:
-                if not any(abs(by - q[1]) < 1e-8 and abs(bx - q[0]) < 1e-8 for q in pairs):
-                    pairs.append((bx, by))
-    return pairs
+    Pr = np.where(np.abs(C.real) > 1e-14 * scale, C.real, 0.0)
+    Pi = np.where(np.abs(C.imag) > 1e-14 * scale, C.imag, 0.0)
+    if not Pi.any():
+        raise ValueError(
+            "2D condition has no imaginary part: it is one real equation, "
+            "whose real roots form a curve rather than isolated points"
+        )
+    Pr, Pi = _trim_rows(Pr), _trim_rows(Pi)
+    if Pr.shape[0] <= 1 and Pi.shape[0] == 1:
+        # Neither part involves beta_x: real roots are whole lines beta_y =
+        # const, which exist exactly when the beta_y resultant vanishes.
+        Pr, Pi = _trim_rows(Pr.T), _trim_rows(Pi.T)
+    S = _sylvester(Pr, Pi) if Pr.any() else None
+    if S is None or _resultant_vanishes(S):
+        raise ValueError(
+            "real and imaginary parts of the 2D condition share a common "
+            "factor (their resultant vanishes identically): the real roots "
+            "form a curve rather than isolated points"
+        )
+    pairs: List[Tuple[float, float, float]] = []
+    for by0 in _real_eigen_roots(S):
+        poly = C @ (by0 ** np.arange(C.shape[1]))
+        for bx0 in _real_nonzero_roots(poly, _CANDIDATE_TOL):
+            bx, by = _newton_polish(C, bx0, by0)
+            if abs(bx) <= 1e-12 or abs(by) <= 1e-12:
+                continue
+            # Validate against the original Laurent condition: clearing the
+            # beta^{-1} denominators introduces a spurious root at the origin.
+            res = abs(np.sum(c * bx ** offs[:, 0] * by ** offs[:, 1])) / scale
+            if res <= 1e-8 and not any(
+                abs(bx - qx) <= 1e-8 * abs(bx) and abs(by - qy) <= 1e-8 * abs(by)
+                for qx, qy, _ in pairs
+            ):
+                pairs.append((bx, by, float(res)))
+    return [
+        BetaSolution((bx, by), phase, (_xi(bx), _xi(by)), res)
+        for bx, by, res in sorted(pairs, key=lambda p: (p[1], p[0]))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "anticommutator_table",
     "pair_gamma_eigenvalues",
     "purity_spectrum",
-    "fictitious_hamiltonian",
     "parent_hamiltonian",
     "purity_class",
     "check_covariance",
@@ -272,17 +271,6 @@ def purity_spectrum(gamma: np.ndarray, tol: Optional[float] = None) -> PuritySpe
     gamma = check_covariance(gamma, tol=tol)
     eps, _ = pair_gamma_eigenvalues(gamma)
     return PuritySpectrum(np.clip(eps**2, 0.0, 1.0))
-
-
-def fictitious_hamiltonian(gamma: np.ndarray) -> np.ndarray:
-    """First-quantized coefficient matrix of the state's fictitious Hamiltonian.
-
-    The Gaussian state with covariance ``Gamma`` is the Gibbs/ground-state
-    family of ``H = i sum_ij Gamma_ij c_i c_j`` whose first-quantized matrix
-    is ``Gamma`` itself; its spectrum comes in pairs ``+/- eps_n`` with
-    ``eps_n^2`` the purity values.
-    """
-    return check_covariance(gamma).copy()
 
 
 def parent_hamiltonian(d: Dissipator) -> np.ndarray:

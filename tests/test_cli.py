@@ -141,6 +141,19 @@ def test_edge_modes_output():
         assert float(row[5]) < 1e-9
 
 
+def test_edge_modes_cross2d_rows():
+    args = ("edge-modes", "--model", "cross2d", "--beta", "3", "--lattice", "24x20")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert first.stdout_bytes == second.stdout_bytes
+    _, header, rows = parse_csv(first.stdout)
+    assert header[:3] == ["phase", "beta_x", "beta_y"]
+    got = [(float(r[1]), float(r[2])) for r in rows]
+    expected = [(-0.5, -1.0), (-2.5, 1.0), (-2.0, -1.0), (-0.4, 1.0)]
+    assert got == [pytest.approx(pair) for pair in expected]
+    assert all(float(r[-1]) < 1e-9 for r in rows)
+
+
 def test_spectrum_shape():
     res = run_cli("spectrum", "--model", "kitaev", "--grid", "16")
     assert res.exit_code == 0

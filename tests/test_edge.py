@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
+from lindtop.bloch import BlochStencil
 from lindtop.edge import build_mode, fit_localization, solve_beta
 from lindtop.majorana import build_dissipator
 from lindtop.models import cross_2d, kitaev_wire, three_site_wire, zigzag_coherent
@@ -113,8 +115,6 @@ def test_kitaev_perfectly_localized_mode_is_out_of_scope():
 
 
 def test_degenerate_stencil_rejected():
-    from lindtop.bloch import BlochStencil
-
     st = BlochStencil(1, ((0,), (1,)), u=(0.5, -0.5), v=(0.5, 0.5), center=(0.5,))
     # u = v termwise makes e^{-i pi} u + v vanish identically: no constraint.
     st2 = BlochStencil(1, ((0,), (1,)), u=(0.5, 0.5), v=(0.5, 0.5), center=None)
@@ -122,3 +122,80 @@ def test_degenerate_stencil_rejected():
         solve_beta(st2, math.pi)
     # Sanity: the first stencil is fine at phi = pi.
     assert isinstance(solve_beta(st, math.pi), list)
+
+
+def test_cross_closed_form_roots_at_odd_quarter_phases():
+    # cross_2d(3) at phi = pi/4: with s = e^{-i phi} the Laurent condition is
+    #   3 + (1+s) x + (1-s)/x + (1+is) y + (1-is)/y = 0.
+    # Its imaginary part is (y - x)(1 + 1/(xy)) / sqrt(2), so y = x or
+    # y = -1/x.  With a = 1 + 1/sqrt2, b = 1 - 1/sqrt2 (a b = 1/2) the real
+    # part is 3 + a (x + y) + b (1/x + 1/y):
+    #   y = x:     2a x^2 + 3x + 2b = 0  ->  x = -1/a = -(2 - sqrt2) or
+    #              x = -1/(2a) = -(1 - 1/sqrt2);
+    #   y = -1/x:  sqrt2 x^2 + 3x - sqrt2 = 0  ->  x = (-3/sqrt2 +- sqrt(17/2))/2.
+    # At phi = 5pi/4, s changes sign, which swaps a and b and flips the sign
+    # of the linear term in the second quadratic.
+    st = cross_2d(3.0).stencil
+    r2 = math.sqrt(2.0)
+    q = math.sqrt(17.0 / 2.0)
+    expected = {
+        math.pi / 4: [(-(2 - r2),) * 2, (-(1 - 1 / r2),) * 2]
+        + [(x, -1 / x) for x in ((-3 / r2 + q) / 2, (-3 / r2 - q) / 2)],
+        5 * math.pi / 4: [(-(2 + r2),) * 2, (-(1 + 1 / r2),) * 2]
+        + [(x, -1 / x) for x in ((3 / r2 + q) / 2, (3 / r2 - q) / 2)],
+    }
+    for phi, pairs in expected.items():
+        sols = solve_beta(st, phi)
+        got = [s.betas for s in sols]
+        np.testing.assert_allclose(sorted(got), sorted(pairs), rtol=1e-12)
+        # The root set is symmetric under beta_x <-> beta_y.
+        np.testing.assert_allclose(sorted(got), sorted((y, x) for x, y in got), rtol=1e-12)
+        assert all(s.residual <= 1e-14 for s in sols)
+        assert got == sorted(got, key=lambda b: (b[1], b[0]))
+
+
+def _planted_stencil(seed):
+    rng = np.random.default_rng(seed)
+    offs = tuple((jx, jy) for jx in (-1, 0, 1) for jy in (-1, 0, 1))
+    u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    phase = float(rng.uniform(0.0, 2 * math.pi))
+    root = tuple(
+        float(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(0.2), math.log(20.0))))
+        for _ in range(2)
+    )
+    o = np.asarray(offs, float)
+    p = np.sum((np.exp(-1j * phase) * u + v) * root[0] ** o[:, 0] * root[1] ** o[:, 1])
+    v[offs.index((0, 0))] -= p
+    return BlochStencil(2, offs, u=tuple(u), v=tuple(v)), phase, root
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1))
+def test_planted_root_is_found(seed):
+    stencil, phase, (bx0, by0) = _planted_stencil(seed)
+    sols = solve_beta(stencil, phase)
+    assert any(
+        math.isclose(s.betas[0], bx0, rel_tol=1e-8) and math.isclose(s.betas[1], by0, rel_tol=1e-8)
+        for s in sols
+    ), (bx0, by0, [s.betas for s in sols])
+    offs = np.asarray(stencil.offsets, float)
+    c = np.exp(-1j * phase) * np.asarray(stencil.u) + np.asarray(stencil.v)
+    for s in sols:
+        bx, by = s.betas
+        assert abs(np.sum(c * bx ** offs[:, 0] * by ** offs[:, 1])) / np.abs(c).max() <= 1e-8
+
+
+def test_real_only_2d_condition_rejected():
+    # e^{-i phi} u + v is real everywhere at phi = 0: one real equation.
+    st = BlochStencil(2, ((0, 0), (1, 0), (0, 1)), u=(0.0, 1.0, 1.0), v=(2.0, 0.5, -1.0))
+    with pytest.raises(ValueError, match="no imaginary part"):
+        solve_beta(st, 0.0)
+
+
+def test_common_factor_2d_condition_rejected():
+    # P = (beta_x - beta_y)(1 + i beta_x): every (t, t) is a real root.
+    st = BlochStencil(2, ((1, 0), (2, 0), (0, 1), (1, 1)),
+                      u=(0, 0, 0, 0), v=(1.0, 1.0j, -1.0, -1.0j))
+    with pytest.raises(ValueError, match="common factor"):
+        solve_beta(st, 0.0)
