@@ -8,11 +8,14 @@ symbol (with ``a_k = N^{-1/2} sum_n e^{-ik n} a_n``) is
     v(k) = sum_r v_r e^{-i k.r},      u(k) = -sum_r u_r e^{-i k.r},
 
 so the Fourier-transformed operator reads ``L_k = v(k) a_k^dag - u(k) a_{-k}``
-and couples only the mode pair ``(k, -k)``.  Each pair sector is a two-mode
-problem solved exactly: the 4x4 real Majorana blocks ``(X_k, Y_k, Gamma_k)``
-come from the sector dissipator, and the 2x2 flavor-basis correlation matrix
-``Gamma(k)`` (flavors ``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``) comes from
-the steady state of the sector Liouvillian on the two-mode Fock space.  The
+and couples only the mode pair ``(k, -k)``.  The steady state of a quadratic
+Lindbladian is Gaussian, so each pair sector is solved exactly by its 4x4
+real Majorana blocks: ``{X_k, Gamma_k} = Y_k`` in the eigenbasis of ``X_k``
+(Prosen, "Third quantization", New J. Phys. 10, 043026 (2008)).  One batched
+assembly and one batched solve serve :func:`sector_rates`,
+:func:`bloch_blocks` and :func:`momentum_state`; the last maps ``Gamma_k`` to
+the 2x2 flavor-basis correlation matrix ``Gamma(k)`` (flavors
+``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``) by one fixed linear map.  The
 flattened unit-vector field ``n(k)`` with ``i Gamma_bar(k) = n(k).sigma``
 feeds the winding-number and Chern-number invariants.
 """
@@ -24,8 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import dynamics
-from .majorana import build_dissipator, nambu_from_dirac
+from .majorana import build_dissipator
 
 __all__ = [
     "BlochStencil",
@@ -225,82 +227,60 @@ def bz_grid(nk: int, dim: int, offset: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-mode Fock-space machinery for the (k, -k) pair sector
+# Gaussian pair-sector kernel
 # ---------------------------------------------------------------------------
 
-def _mode_ops_two() -> Tuple[np.ndarray, np.ndarray]:
-    """Annihilation matrices (a1, a2) on the 2-mode Fock basis |n1 n2>."""
-    a1 = np.zeros((4, 4), dtype=complex)
-    a2 = np.zeros((4, 4), dtype=complex)
-    for n1 in (0, 1):
-        for n2 in (0, 1):
-            i = 2 * n1 + n2
-            if n1 == 1:
-                a1[2 * 0 + n2, i] = 1.0
-            if n2 == 1:
-                a2[2 * n1 + 0, i] = (-1.0) ** n1
-    return a1, a2
+#: Flavor operators ``c_{k,1} = a_k + a_{-k}^dag`` and
+#: ``c_{k,2} = i (a_{-k}^dag - a_k)`` as rows ``F`` over the sector Majoranas
+#: ``m_a`` (the interleaved pairs of ``a_k`` and ``a_{-k}``):
+#: ``c_{k,l} = sum_a F[l, a] m_a``, so that ``Gamma(k) = F Gamma_k F^dag``.
+_FLAVOR = 0.5 * np.array([[-1j, 1.0, 1j, 1.0], [-1.0, -1j, -1.0, 1j]])
 
 
-_A1, _A2 = _mode_ops_two()
-_A1D, _A2D = _A1.conj().T, _A2.conj().T
-_I4 = np.eye(4, dtype=complex)
+def _sector_dissipator(fams, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched 4x4 sector blocks ``(X_k, Y_k)`` for every k of ``k`` (..., dim).
 
-# Flavor operators of the pair sector, with mode 1 = a_k and mode 2 = a_{-k}:
-#   c_{k,1} = a_{-k}^dag + a_k          c_{k,2} = i (a_{-k}^dag - a_k)
-#   c_{-k,1} = a_k^dag + a_{-k}         c_{-k,2} = i (a_k^dag - a_{-k})
-_CK = (_A2D + _A1, 1j * (_A2D - _A1))
-_CMK = (_A1D + _A2, 1j * (_A1D - _A2))
-# (i/2) [c_{k,l}, c_{-k,m}] as four fixed matrices.
-_COMM2 = np.array(
-    [[0.5j * (_CK[l] @ _CMK[m] - _CMK[m] @ _CK[l]) for m in (0, 1)] for l in (0, 1)]
-)
-
-_B1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # single-mode a
-_B1D = _B1.conj().T
-_I2 = np.eye(2, dtype=complex)
-_C1 = (_B1D + _B1, 1j * (_B1D - _B1))
-_COMM1 = np.array(
-    [[0.5j * (_C1[l] @ _C1[m] - _C1[m] @ _C1[l]) for m in (0, 1)] for l in (0, 1)]
-)
-
-
-def _batched_liouvillian(jump_ops: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Vectorized Lindblad generator for batched jump operators.
-
-    Each element of ``jump_ops`` has shape (..., dim, dim); returns
-    (..., dim^2, dim^2) acting on column-stacked vec(rho).
+    The Majorana vectors ``l`` of ``L_k`` and ``L_{-k}`` of every family, with
+    amplitudes scaled by ``RATE_SCALE * sqrt(weight)``, give
+    ``M = sum conj(l) (x) l``, ``X_k = 2 Re M`` and ``Y_k = -4 Im M``.  ``L_k``
+    has Dirac coefficients ``(A, C) = ((0, -u(k)), (v(k), 0))`` on the modes
+    ``(a_k, a_{-k})`` and ``L_{-k}`` has ``((-u(-k), 0), (0, v(-k)))``.
     """
-    shape = jump_ops[0].shape[:-2]
-    L16 = np.zeros(shape + (dim * dim, dim * dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for L in jump_ops:
-        LdL = np.einsum("...ba,...bc->...ac", L.conj(), L)
-        L16 += np.einsum("...ab,...cd->...acbd", L.conj(), L).reshape(shape + (dim * dim, dim * dim))
-        L16 -= 0.5 * np.einsum("ab,...cd->...acbd", eye, LdL).reshape(shape + (dim * dim, dim * dim))
-        L16 -= 0.5 * np.einsum("...ab,cd->...acbd", np.swapaxes(LdL, -1, -2), eye).reshape(
-            shape + (dim * dim, dim * dim)
+    ls = []
+    for w, st in fams:
+        s = RATE_SCALE * np.sqrt(w)
+        up, vp = st.u_symbol(k), st.v_symbol(k)
+        um, vm = st.u_symbol(-k), st.v_symbol(-k)
+        ls.append(s * np.stack([0.5j * vp, 0.5 * vp, 0.5j * up, -0.5 * up], axis=-1))
+        ls.append(s * np.stack([0.5j * um, -0.5 * um, 0.5j * vm, 0.5 * vm], axis=-1))
+    l = np.stack(ls, axis=-2)
+    M = np.einsum("...ia,...ib->...ab", l.conj(), l)
+    return 2.0 * M.real, -4.0 * M.imag
+
+
+def _sector_steady(X: np.ndarray, Y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Batched solve of ``{X_k, Gamma_k} = Y_k`` in the eigenbasis of ``X_k``.
+
+    Raises
+    ------
+    GapClosedError
+        Where the smallest sector rate is at most ``1e-12 * max(1, largest)``:
+        the steady state is not unique there.  The error names the k with the
+        smallest relative rate.
+    """
+    kappa, V = np.linalg.eigh(X)
+    margin = kappa[..., 0] / np.maximum(1.0, kappa[..., -1])
+    if margin.min() <= 1e-12:
+        i = int(np.argmin(margin))
+        kbad = k.reshape(-1, k.shape[-1])[i]
+        raise GapClosedError(
+            f"sector damping gap closes at k = {np.round(kbad, 6)} "
+            f"(rate {kappa[..., 0].reshape(-1)[i]:.3e}); steady state not unique",
+            kbad,
         )
-    return L16
-
-
-def _steady_rho(L_super: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched nullspace steady state; returns (rho, second-smallest sv)."""
-    _, s, Vh = np.linalg.svd(L_super)
-    vec = Vh[..., -1, :].conj()
-    rho = np.swapaxes(vec.reshape(vec.shape[:-1] + (dim, dim)), -1, -2)
-    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
-    tr = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-    rho = rho / tr
-    return rho, s[..., -2]
-
-
-def _self_paired_mask(k: np.ndarray) -> np.ndarray:
-    """Points with k = -k modulo the reciprocal lattice (components 0 or pi)."""
-    frac = np.mod(k / np.pi + 1.0, 2.0) - 1.0    # in [-1, 1)
-    near0 = np.abs(frac) < 1e-12
-    near1 = np.abs(np.abs(frac) - 1.0) < 1e-12
-    return np.all(near0 | near1, axis=-1)
+    Vt = np.swapaxes(V, -1, -2)
+    gamma = V @ ((Vt @ Y @ V) / (kappa[..., :, None] + kappa[..., None, :])) @ Vt
+    return 0.5 * (gamma - np.swapaxes(gamma, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -309,112 +289,47 @@ class MomentumState:
 
     ks: np.ndarray          # (..., dim)
     gamma: np.ndarray       # (..., 2, 2) complex, Gamma(k); i*Gamma Hermitian
-    liouvillian_gap: np.ndarray  # (...,) second-smallest singular value
 
 
 def momentum_state(model: Families, ks: np.ndarray) -> MomentumState:
-    """Exact sector steady state Gamma(k) for every k in a grid.
+    """Exact Gaussian sector steady state Gamma(k) for every k in a grid.
 
-    For each pair sector ``(k, -k)`` the jump operators
-    ``L_k = v(k) a_k^dag - u(k) a_{-k}`` and ``L_{-k}`` of every family
-    (amplitudes scaled by ``RATE_SCALE * sqrt(weight)``) act on the two-mode
-    Fock space; the steady density matrix is the Liouvillian nullspace and
-    Gamma(k) its flavor-basis correlation matrix.  Self-paired points
-    (k = -k) are handled in the single-mode space.
-    """
-    fams = _families(model)
-    dim = fams[0][1].dim
-    k = _as_kvec(ks, dim)
-    flat = k.reshape(-1, dim)
-    gamma = np.zeros((flat.shape[0], 2, 2), dtype=complex)
-    gap = np.zeros(flat.shape[0])
-    self_paired = _self_paired_mask(flat)
-
-    idx = np.nonzero(~self_paired)[0]
-    if idx.size:
-        kk = flat[idx]
-        ops = []
-        for w, st in fams:
-            s = RATE_SCALE * np.sqrt(w)
-            up, vp = st.u_symbol(kk), st.v_symbol(kk)
-            um, vm = st.u_symbol(-kk), st.v_symbol(-kk)
-            ops.append(s * (vp[:, None, None] * _A1D - up[:, None, None] * _A2))
-            ops.append(s * (vm[:, None, None] * _A2D - um[:, None, None] * _A1))
-        rho, g = _steady_rho(_batched_liouvillian(ops, 4), 4)
-        gamma[idx] = np.einsum("nij,lmji->nlm", rho, _COMM2)
-        gap[idx] = g
-
-    idx = np.nonzero(self_paired)[0]
-    if idx.size:
-        kk = flat[idx]
-        ops = []
-        for w, st in fams:
-            s = RATE_SCALE * np.sqrt(w)
-            up, vp = st.u_symbol(kk), st.v_symbol(kk)
-            ops.append(s * (vp[:, None, None] * _B1D - up[:, None, None] * _B1))
-        rho, g = _steady_rho(_batched_liouvillian(ops, 2), 2)
-        gamma[idx] = np.einsum("nij,lmji->nlm", rho, _COMM1)
-        gap[idx] = g
-
-    shape = k.shape[:-1]
-    return MomentumState(k, gamma.reshape(shape + (2, 2)), gap.reshape(shape))
-
-
-# ---------------------------------------------------------------------------
-# 4x4 real Majorana pair-sector blocks
-# ---------------------------------------------------------------------------
-
-def _check_pair_symbol(fams, k, tol: float = 1e-8) -> None:
-    """Reject symbols violating conj(u(k)) = u(-k), conj(v(k)) = v(-k)."""
-    for _, st in fams:
-        up, um = st.u_symbol(k), st.u_symbol(-k)
-        vp, vm = st.v_symbol(k), st.v_symbol(-k)
-        scale = max(1.0, float(np.abs([up, um, vp, vm]).max()))
-        bad = max(np.abs(np.conj(up) - um).max(), np.abs(np.conj(vp) - vm).max())
-        if bad > tol * scale:
-            raise ValueError(
-                "symbol violates conj(u(k)) = u(-k), conj(v(k)) = v(-k) "
-                f"(violation {bad:.3e}); the real pair-sector basis is undefined"
-            )
-
-
-def _sector_nambu(fams, k) -> List[np.ndarray]:
-    """Majorana coefficient vectors of the sector operators, modes (a_k, a_{-k})."""
-    ops = []
-    for w, st in fams:
-        s = RATE_SCALE * np.sqrt(w)
-        up = complex(np.asarray(st.u_symbol(k)).reshape(-1)[0])
-        vp = complex(np.asarray(st.v_symbol(k)).reshape(-1)[0])
-        um = complex(np.asarray(st.u_symbol(-np.asarray(k, float))).reshape(-1)[0])
-        vm = complex(np.asarray(st.v_symbol(-np.asarray(k, float))).reshape(-1)[0])
-        ops.append(s * nambu_from_dirac([0.0, -up], [vp, 0.0]))
-        ops.append(s * nambu_from_dirac([-um, 0.0], [0.0, vm]))
-    return ops
-
-
-def bloch_blocks(model: Families, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """4x4 real Majorana blocks (X_k, Y_k, Gamma_k) of the (k, -k) sector.
-
-    Basis ordering: the interleaved Majorana pairs of the modes ``a_k`` and
-    ``a_{-k}``.  ``Gamma_k`` solves ``{X_k, Gamma_k} = Y_k`` exactly.
+    Each pair sector ``(k, -k)`` carries the jump operators
+    ``L_k = v(k) a_k^dag - u(k) a_{-k}`` and ``L_{-k}`` of every family.  Its
+    steady covariance ``Gamma_k`` solves ``{X_k, Gamma_k} = Y_k`` (see
+    :func:`bloch_blocks`), and ``Gamma(k)_{lm} = (i/2) <[c_{k,l}, c_{-k,m}]>``
+    follows from one fixed linear map of the sector Majoranas.  At a
+    self-paired point (k = -k) the sector holds the mode twice; the copies
+    decouple into ``a_k +- a_{-k}`` with symbols ``(u, v)`` and ``(-u, v)``,
+    whose one-mode steady states coincide, so the same map applies.
 
     Raises
     ------
-    ValueError
-        If the symbol violates the reality condition conj(u(k)) = u(-k)
-        (the real 4x4 basis does not exist then).
     GapClosedError
-        If the sector damping gap closes at this k (steady state undefined).
+        If the sector damping gap closes at some k of the grid.
     """
     fams = _families(model)
-    k = _as_kvec(k, fams[0][1].dim).reshape(-1)[: fams[0][1].dim]
-    _check_pair_symbol(fams, k[None, :])
-    d = build_dissipator(_sector_nambu(fams, k))
-    rates = np.linalg.eigvalsh(d.X)
-    if rates.min() <= 1e-12 * max(1.0, rates.max()):
-        raise GapClosedError(f"sector damping gap closes at k = {k}", k)
-    res = dynamics.steady_state(d)
-    return d.X, d.Y, res.gamma
+    k = _as_kvec(ks, fams[0][1].dim)
+    gamma = _sector_steady(*_sector_dissipator(fams, k), k)
+    return MomentumState(k, np.einsum("la,...ab,mb->...lm", _FLAVOR, gamma, _FLAVOR.conj()))
+
+
+def bloch_blocks(model: Families, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """4x4 real Majorana blocks (X_k, Y_k, Gamma_k) of the (k, -k) sectors.
+
+    Basis ordering: the interleaved Majorana pairs of the modes ``a_k`` and
+    ``a_{-k}``.  ``Gamma_k`` solves ``{X_k, Gamma_k} = Y_k`` exactly.  Each
+    block has shape ``k.shape[:-1] + (4, 4)``; a scalar 1D k gives (4, 4).
+
+    Raises
+    ------
+    GapClosedError
+        If the sector damping gap closes at some k (steady state undefined).
+    """
+    fams = _families(model)
+    k = _as_kvec(k, fams[0][1].dim)
+    X, Y = _sector_dissipator(fams, k)
+    return X, Y, _sector_steady(X, Y, k)
 
 
 def sector_rates(model: Families, ks: np.ndarray) -> np.ndarray:
@@ -423,31 +338,11 @@ def sector_rates(model: Families, ks: np.ndarray) -> np.ndarray:
     The 4x4 sector spectrum is doubly degenerate (the modes at k and -k see
     conjugate symbols); the two distinct values are attributed to k.  Over a
     full symmetric BZ grid, their union reproduces the finite periodic-chain
-    damping spectrum.
+    damping spectrum.  A closed gap is reported as a rate, never raised.
     """
     fams = _families(model)
-    dim = fams[0][1].dim
-    k = _as_kvec(ks, dim).reshape(-1, dim)
-    out = np.empty((k.shape[0], 2))
-    # Batched 4x4 X: assemble M = sum conj(l) x l directly.
-    ls = []
-    for w, st in fams:
-        s = RATE_SCALE * np.sqrt(w)
-        up, vp = st.u_symbol(k), st.v_symbol(k)
-        um, vm = st.u_symbol(-k), st.v_symbol(-k)
-        zero = np.zeros_like(up)
-        # L_k: A = (0, -u(k)), C = (v(k), 0) -> interleaved Majorana components
-        l1 = np.stack([0.5j * vp, 0.5 * vp, 0.5j * up, -0.5 * up], axis=-1) * s
-        # L_{-k}: A = (-u(-k), 0), C = (0, v(-k))
-        l2 = np.stack([0.5j * um, -0.5 * um, 0.5j * vm, 0.5 * vm], axis=-1) * s
-        ls.extend([l1, l2])
-    M = sum(np.einsum("na,nb->nab", l.conj(), l) for l in ls)
-    X = 2.0 * M.real
-    w4 = np.linalg.eigvalsh(X)
-    # Doubly degenerate pairs: report each distinct value once.
-    out[:, 0] = w4[:, 0]
-    out[:, 1] = w4[:, 2]
-    return out.reshape(np.asarray(_as_kvec(ks, dim)).shape[:-1] + (2,))
+    X, _ = _sector_dissipator(fams, _as_kvec(ks, fams[0][1].dim))
+    return np.linalg.eigvalsh(X)[..., ::2]
 
 
 # ---------------------------------------------------------------------------

@@ -420,12 +420,16 @@ def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, tol, latti
                              lattice="x".join(map(str, ext)), phases=phases, format=fmt)
     boundary = "open" if model.dim == 1 else "cylinder"
     realization = model.finite_realization(ext, boundary=boundary)
-    rows = []
+    rows, skipped = [], []
     for phi in phase_vals:
         for sol in solve_beta(model.stencil, phi):
             try:
                 mode = build_mode(sol, model, ext, boundary=boundary, realization=realization)
-            except ValueError:
+            except ValueError as exc:
+                # A root that is not single-valued on this lattice (e.g.
+                # |beta_y| != 1 around a cylinder) has no mode to tabulate.
+                skipped.append({"phase": phi, "betas": [float(b) for b in sol.betas],
+                                "reason": str(exc)})
                 continue
             fit = fit_localization(mode.vector, ext, axis=0)
             rows.append((
@@ -438,7 +442,7 @@ def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, tol, latti
             ))
     beta_cols = ["beta"] if model.dim == 1 else ["beta_x", "beta_y"]
     columns = ["phase", *beta_cols, "xi_analytic", "xi_fitted", "fit_r2", "residual"]
-    _write_table(out, fmt, cfg, columns, rows)
+    _write_table(out, fmt, cfg, columns, rows, {"skipped_roots": skipped})
 
 
 @main.command()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from lindtop.bloch import (
+    BlochStencil,
     BlochSymbol,
     GapClosedError,
     bloch_blocks,
@@ -17,8 +19,10 @@ from lindtop.bloch import (
     winding_number,
     windings_around_u_zeros,
 )
+from lindtop.dynamics import steady_state
 from lindtop.majorana import build_dissipator
 from lindtop.models import (
+    ModelInstance,
     cross_2d,
     kitaev_wire,
     three_site_wire,
@@ -95,8 +99,81 @@ def test_coherent_damping_closed_form():
 def test_competing_flat_damping():
     ks = bz_grid(64, 1, offset=0.5)
     for kappa in (0.3, 1.0, 2.0):
-        X, _, _ = bloch_blocks(zigzag_competing(kappa), ks)
+        X, Y, G = bloch_blocks(zigzag_competing(kappa), ks)
+        assert X.shape == Y.shape == G.shape == (64, 4, 4)
         assert np.abs(X - 2 * np.eye(4)).max() < 1e-12
+    assert bloch_blocks(zigzag_competing(1.0), 0.3)[0].shape == (4, 4)
+
+
+# Sector Majoranas m_a: the interleaved pairs (i(a - a^dag), a + a^dag) of a_k
+# and a_{-k}.  c_{k,1} = a_k + a_{-k}^dag and c_{k,2} = i (a_{-k}^dag - a_k)
+# read c_{k,l} = sum_a FLAVOR[l, a] m_a, so Gamma(k) = FLAVOR Gamma_k FLAVOR^dag.
+FLAVOR = 0.5 * np.array([[-1j, 1, 1j, 1], [-1, -1j, -1, 1j]])
+
+
+def test_complex_symbol_blocks_match_momentum_state():
+    # cross2d has a complex symbol (u(-k) != conj(u(k))); its blocks are
+    # defined all the same and agree with the flavor-basis steady state.
+    model = cross_2d(3.0)
+    ks = np.array([[0.7, -1.3], [2.1, 0.4], [-2.9, 1.1]])
+    X, Y, G = bloch_blocks(model, ks)
+    assert X.shape == (3, 4, 4)
+    assert np.abs(X @ G + G @ X - Y).max() < 1e-12
+    mapped = np.einsum("la,nab,mb->nlm", FLAVOR, G, FLAVOR.conj())
+    assert np.abs(mapped - momentum_state(model, ks).gamma).max() < 1e-12
+    rates = np.linalg.eigvalsh(X)
+    assert np.allclose(rates[:, ::2], sector_rates(model, ks), atol=1e-12)
+    assert np.allclose(rates[:, 1::2], sector_rates(model, ks), atol=1e-12)
+
+
+def _fourier_gamma(model, extent):
+    """Sector Gamma(k) on the lattice momenta from the finite periodic steady state.
+
+    c_{k,1} = N^{-1/2} sum_n e^{-ik.n} w_{n,2} and
+    c_{k,2} = -N^{-1/2} sum_n e^{-ik.n} w_{n,1}, with w_{n,1}, w_{n,2} the
+    Majoranas 2n, 2n+1 of site n.
+    """
+    fr = model.finite_realization(extent, boundary="periodic")
+    pos = fr.positions()
+    gamma = steady_state(build_dissipator(fr.operators, num_majoranas=2 * len(pos))).gamma
+    axes = [2 * np.pi * np.arange(n) / n for n in extent]
+    ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(extent))
+    phase = np.exp(-1j * ks @ pos.T) / np.sqrt(len(pos))      # (k, site)
+    F = np.zeros((len(ks), 2, 2 * len(pos)), dtype=complex)
+    F[:, 0, 1::2] = phase
+    F[:, 1, 0::2] = -phase
+    return ks, np.einsum("kla,ab,kmb->klm", F, gamma, F.conj())
+
+
+@pytest.mark.parametrize("model, extent", [
+    (kitaev_wire(), (8,)),
+    (three_site_wire(0.8), (8,)),
+    (zigzag_coherent(0.6), (8,)),
+    (zigzag_competing(0.5), (8,)),
+    (cross_2d(1.0), (6, 6)),
+    (cross_2d(3.0), (6, 6)),
+])
+def test_finite_periodic_matches_momentum_state(model, extent):
+    # Independent route: the finite steady state, Fourier transformed, equals
+    # the sector solution on every lattice momentum (k = 0 and pi included).
+    ks, want = _fourier_gamma(model, extent)
+    assert np.abs(momentum_state(model, ks).gamma - want).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.integers(0, 2**32 - 1))
+def test_random_stencil_matches_finite_periodic(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    offsets = tuple((int(o),) for o in rng.choice(np.arange(-2, 3), size=m, replace=False))
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    model = ModelInstance("random", {}, ((1.0, BlochStencil(1, offsets, tuple(u), tuple(v))),))
+    N = 8
+    ks = (2 * np.pi * np.arange(N) / N)[:, None]
+    assume(sector_rates(model, ks).min() > 1e-3)
+    _, want = _fourier_gamma(model, (N,))
+    assert np.abs(momentum_state(model, ks).gamma - want).max() < 1e-10
 
 
 def test_purity_closed_forms():
@@ -135,8 +212,22 @@ def test_winding_numbers():
 
 def test_gap_closed_error_names_momentum():
     ks = bz_grid(64, 1, offset=0.0)   # includes k = pi where the gap closes
-    with pytest.raises(GapClosedError):
+    with pytest.raises(GapClosedError) as exc:
         flatten(momentum_state(zigzag_coherent(1.0), ks))
+    assert np.allclose(exc.value.k, [-np.pi])
+
+
+def test_damping_gap_closed_at_self_paired_point():
+    # The three-site wire at kappa = 2 loses its damping gap at k = pi, where
+    # the steady state is not unique: the kernel refuses it and names k,
+    # while sector_rates reports the vanishing rate.
+    model, ks = three_site_wire(2.0), bz_grid(256, 1, offset=0.0)
+    with pytest.raises(GapClosedError) as exc:
+        momentum_state(model, ks)
+    assert np.allclose(exc.value.k, [-np.pi])
+    with pytest.raises(GapClosedError):
+        bloch_blocks(model, np.pi)
+    assert sector_rates(model, ks).min() < 1e-30
 
 
 def test_classify_symmetry():

@@ -154,6 +154,25 @@ def test_edge_modes_cross2d_rows():
     assert all(float(r[-1]) < 1e-9 for r in rows)
 
 
+def test_edge_modes_reports_skipped_roots():
+    # At phase pi/4 every cross2d root has |beta_y| != 1, so none is
+    # single-valued around the 12x10 cylinder: the table is empty and each
+    # root appears in the metadata with the reason it was skipped.
+    args = ("edge-modes", "--model", "cross2d", "--beta", "3", "--lattice", "12x10",
+            "--phases", "0.7853981633974483")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert first.stdout_bytes == second.stdout_bytes
+    meta, _, rows = parse_csv(first.stdout)
+    assert rows == []
+    skipped = json.loads(meta["skipped_roots"])
+    assert len(skipped) == 4
+    for entry in skipped:
+        assert entry["phase"] == pytest.approx(math.pi / 4)
+        assert abs(abs(entry["betas"][1]) - 1.0) > 1e-3
+        assert "periodic direction 1" in entry["reason"]
+
+
 def test_spectrum_shape():
     res = run_cli("spectrum", "--model", "kitaev", "--grid", "16")
     assert res.exit_code == 0
