@@ -7,7 +7,6 @@ from .majorana import (
     build_dissipator,
     dirac_from_nambu,
     nambu_from_dirac,
-    parent_hamiltonian,
     purity_class,
     purity_spectrum,
 )

@@ -11,18 +11,21 @@ gamma_j -> gamma_i``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import evolve
-from .majorana import Dissipator
+from .dynamics import _evolve_in_basis
+from .majorana import Dissipator, build_dissipator
+from .models import VortexConfig
 
 __all__ = [
     "AdiabaticSchedule",
     "AdiabaticResult",
+    "vortex_exchange_path",
     "BraidWord",
     "vector_potential",
     "adiabatic_evolve",
@@ -107,23 +110,47 @@ class AdiabaticResult:
     block_final: Optional[np.ndarray]
 
 
-def _kernel_frame(d: Dissipator, block_dim: int) -> Tuple[np.ndarray, float]:
-    """Lowest-damping frame (2N, block_dim) and the gap above it."""
-    w, V = np.linalg.eigh(d.X)
+def vortex_exchange_path(model, lattice, separation: float,
+                         core_scale: float) -> Callable[[float], Dissipator]:
+    """Memoized ``s -> Dissipator`` of two unit vortices exchanged by ``s = 1``.
+
+    At ``s`` the pair sits ``separation`` apart on a line through the centre
+    of ``lattice = (W, H)`` rotated by ``pi s``; open boundary, truncated
+    placement.
+    """
+    W, H = lattice
+    cx, cy = (W - 1) / 2, (H - 1) / 2
+    cache: Dict[float, Dissipator] = {}
+
+    def diss_at(s: float) -> Dissipator:
+        if s not in cache:
+            dx = separation / 2 * math.cos(math.pi * s)
+            dy = separation / 2 * math.sin(math.pi * s)
+            vs = [VortexConfig((cx - dx, cy - dy), 1, core_scale=core_scale),
+                  VortexConfig((cx + dx, cy + dy), 1, core_scale=core_scale)]
+            fr = model.finite_realization(lattice, boundary="open", placement="truncated",
+                                          vortices=vs)
+            cache[s] = build_dissipator(fr.operators, num_majoranas=2 * W * H)
+        return cache[s]
+
+    return diss_at
+
+
+def _kernel_frame(eig: Tuple[np.ndarray, np.ndarray], block_dim: int) -> Tuple[np.ndarray, float]:
+    """Lowest-damping frame (2N, block_dim) and the gap above it, from ``eigh(X)``."""
+    w, V = eig
     gap = float(w[block_dim]) if block_dim < w.size else np.inf
     return V[:, :block_dim], gap
 
 
 def _align(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Rotate frame ``cur`` (within its span) to best match ``prev``."""
-    M = prev.T @ cur
-    sv = np.linalg.svd(M, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(prev.T @ cur)
     if sv.min() < 0.5:
         raise ValueError(
             f"decoherence-free frame jump (min overlap {sv.min():.3f} < 0.5); "
             "use finer steps"
         )
-    U, _, Vt = np.linalg.svd(M)
     return cur @ (U @ Vt).T
 
 
@@ -155,24 +182,23 @@ def adiabatic_evolve(
     track = block_dim > 0
     min_gap = np.inf
     if track:
-        Q0, gap = _kernel_frame(schedule.path(0.0), block_dim)
+        Q0, min_gap = _kernel_frame(np.linalg.eigh(schedule.path(0.0).X), block_dim)
         Q = Q0
         block0 = Q0.T @ gamma @ Q0
-        min_gap = gap
-        leakage = 0.0
     for i in range(schedule.steps):
         s_mid = (i + 0.5) / schedule.steps
         d = schedule.path(s_mid)
+        eig = np.linalg.eigh(d.X)
         if schedule.hamiltonian is None:
-            gamma = evolve(d, gamma, dt)
+            gamma = _evolve_in_basis(d, eig, gamma, dt)
         else:
             h = np.asarray(schedule.hamiltonian(s_mid), float)
-            gamma = evolve(d, gamma, 0.5 * dt)
+            gamma = _evolve_in_basis(d, eig, gamma, 0.5 * dt)
             O = expm(h * dt)
             gamma = O @ gamma @ O.T
-            gamma = evolve(d, gamma, 0.5 * dt)
+            gamma = _evolve_in_basis(d, eig, gamma, 0.5 * dt)
         if track:
-            Qn, gap = _kernel_frame(d, block_dim)
+            Qn, gap = _kernel_frame(eig, block_dim)
             min_gap = min(min_gap, gap)
             if gap < gap_min:
                 raise ValueError(

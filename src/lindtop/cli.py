@@ -245,6 +245,15 @@ def _sweep_row(args) -> Tuple[object, ...]:
     return (value, damping_gap, purity_gap, invariant)
 
 
+def _sweep_rows(name, params, key, values, grid, tol, jobs) -> List[Tuple[object, ...]]:
+    """One :func:`_sweep_row` per swept value, in ``jobs`` worker processes."""
+    args = [(name, params, key, v, grid, tol) for v in values]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_sweep_row, args))
+    return [_sweep_row(a) for a in args]
+
+
 def _parse_sweep(spec: str) -> Tuple[str, List[float]]:
     if "=" not in spec:
         raise ConfigError("--sweep expects key=start:stop:step or key=v1,v2,...")
@@ -353,12 +362,7 @@ def sweep(model_name, param, kappa, beta, config_file, out, fmt, tol, sweep_spec
     grid = _default_grid(grid, probe.dim)
     cfg = _normalized_config(task="sweep", model=model_name, params=params,
                              sweep=sweep_spec, grid=grid, format=fmt)
-    args = [(model_name, params, key, v, grid, tol) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, args))
-    else:
-        rows = [_sweep_row(a) for a in args]
+    rows = _sweep_rows(model_name, params, key, values, grid, tol, jobs)
     inv_name = "winding" if probe.dim == 1 else "chern"
     _write_table(out, fmt, cfg, [key, "damping_gap", "purity_gap", inv_name], rows)
 
@@ -502,7 +506,7 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt, tol,
 def braid(model_name, param, kappa, beta, config_file, out, fmt, tol,
           lattice, separation, times, dt, core_scale):
     """Adiabatic two-vortex exchange: leakage and holonomy vs total time."""
-    from .braiding import AdiabaticSchedule, braid_via_schedule
+    from .braiding import AdiabaticSchedule, braid_via_schedule, vortex_exchange_path
 
     params = _collect_params(param, config_file, kappa, beta)
     model = _make_model(model_name, params)
@@ -516,24 +520,7 @@ def braid(model_name, param, kappa, beta, config_file, out, fmt, tol,
     cfg = _normalized_config(task="braid", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), separation=separation,
                              times=t_list, dt=dt, core_scale=core_scale, format=fmt)
-    cx, cy = (ext[0] - 1) / 2, (ext[1] - 1) / 2
-
-    cache: Dict[float, object] = {}
-
-    def diss_at(s: float):
-        if s not in cache:
-            theta = math.pi * s
-            vs = [
-                VortexConfig((cx - separation / 2 * math.cos(theta),
-                              cy - separation / 2 * math.sin(theta)), 1, core_scale=core_scale),
-                VortexConfig((cx + separation / 2 * math.cos(theta),
-                              cy + separation / 2 * math.sin(theta)), 1, core_scale=core_scale),
-            ]
-            fr = model.finite_realization(ext, boundary="open",
-                                          placement="truncated", vortices=vs)
-            cache[s] = build_dissipator(fr.operators, num_majoranas=2 * ext[0] * ext[1])
-        return cache[s]
-
+    diss_at = vortex_exchange_path(model, ext, separation, core_scale)
     gamma0 = steady_state(diss_at(0.0)).gamma
     rows = []
     for T in t_list:
@@ -567,12 +554,7 @@ def reproduce(recipe, out, fmt, jobs):
     spec = _RECIPES[recipe]
     key, values = _parse_sweep(spec["sweep"])
     cfg = _normalized_config(task="reproduce", recipe=recipe, **spec, format=fmt)
-    args = [(spec["model"], {}, key, v, spec["grid"], 1e-8) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, args))
-    else:
-        rows = [_sweep_row(a) for a in args]
+    rows = _sweep_rows(spec["model"], {}, key, values, spec["grid"], 1e-8, jobs)
     _write_table(out, fmt, cfg, [key, "damping_gap", "purity_gap", "winding"], rows)
 
 

@@ -89,19 +89,16 @@ class SteadyStateResult:
     residual: float
 
 
-def _eigenbasis(d: Dissipator, tol: Optional[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     kappa, V = np.linalg.eigh(d.X)
     kappa = np.clip(kappa, 0.0, None)
-    if tol is None:
-        tol = default_tol(d.X)
-    zero = kappa <= tol
-    return kappa, V, zero, tol
+    tol = default_tol(d.X)
+    return kappa, V, kappa <= tol, tol
 
 
 def steady_state(
     d: Dissipator,
     initial: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
 ) -> SteadyStateResult:
     """Solve ``{X, Gamma} = Y`` in the eigenbasis of X.
 
@@ -116,7 +113,7 @@ def steady_state(
         If ``Y`` does not vanish on a zero-rate block (inconsistent
         dissipator: fluctuations with no damping to balance them).
     """
-    kappa, V, zero, tol = _eigenbasis(d, tol)
+    kappa, V, zero, _ = _eigenbasis(d)
     Yt = V.T @ d.Y @ V
     S = kappa[:, None] + kappa[None, :]
     dead = zero[:, None] & zero[None, :]
@@ -139,22 +136,16 @@ def steady_state(
     return SteadyStateResult(gamma, kernel, residual)
 
 
-def evolve(
-    d: Dissipator,
-    gamma0: np.ndarray,
-    t: float,
-    tol: Optional[float] = None,
-) -> np.ndarray:
-    """Exact evolution of ``Gamma`` under ``dGamma/dt = -{X, Gamma} + Y``.
+def _evolve_in_basis(d: Dissipator, eig, gamma0: np.ndarray, t: float) -> np.ndarray:
+    """:func:`evolve` given ``eig = eigh(d.X)``.
 
-    Closed form per X-eigenbasis entry; the zero-rate limit
-    ``(1 - e^{-st})/s -> t`` is taken analytically, so kernels need no
-    special casing.
+    Callers that flow under one ``X`` several times decompose it once.
     """
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     gamma0 = check_covariance(gamma0)
-    kappa, V, _, _ = _eigenbasis(d, tol)
+    kappa, V = eig
+    kappa = np.clip(kappa, 0.0, None)
     G0t = V.T @ gamma0 @ V
     Yt = V.T @ d.Y @ V
     S = kappa[:, None] + kappa[None, :]
@@ -167,17 +158,26 @@ def evolve(
     return 0.5 * (gamma - gamma.T)
 
 
+def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
+    """Exact evolution of ``Gamma`` under ``dGamma/dt = -{X, Gamma} + Y``.
+
+    Closed form per X-eigenbasis entry; the zero-rate limit
+    ``(1 - e^{-st})/s -> t`` is taken analytically, so kernels need no
+    special casing.
+    """
+    return _evolve_in_basis(d, np.linalg.eigh(d.X), gamma0, t)
+
+
 def zero_damping_modes(
     d: Dissipator,
     lindblads: Optional[Sequence[np.ndarray]] = None,
-    tol: Optional[float] = None,
 ) -> List[np.ndarray]:
     """Orthonormal real basis of ker X (decoherence-free Majorana modes).
 
     When the jump-operator vectors are supplied, each kernel vector ``v`` is
     verified against the equivalent condition ``l_i . v = 0`` (plain dot).
     """
-    kappa, V, zero, tol = _eigenbasis(d, tol)
+    kappa, V, zero, tol = _eigenbasis(d)
     modes = [V[:, a].copy() for a in np.nonzero(zero)[0]]
     if lindblads is not None and modes:
         G = np.array([np.asarray(l, complex) for l in lindblads])
@@ -239,7 +239,6 @@ def mode_census_and_bulk_edge_check(
     nu_right: int,
     edge_window: Sequence[int],
     edge_weight_threshold: float = 0.9,
-    damping_tol: Optional[float] = None,
     purity_tol: float = 1e-6,
 ) -> Tuple[ModeCensus, bool]:
     """Count zero-damping / zero-purity modes and test m_d + m_p >= |dnu|.
@@ -263,7 +262,7 @@ def mode_census_and_bulk_edge_check(
         edge-attributed counts.
     """
     window = np.asarray(list(edge_window), dtype=int)
-    modes = zero_damping_modes(d, tol=damping_tol)
+    modes = zero_damping_modes(d)
     m_d = len(modes)
     m_d_edge = sum(1 for v in modes if _edge_weight(v, window) >= edge_weight_threshold)
     loc = [_mode_localization(v) for v in modes]
@@ -344,8 +343,9 @@ def block_decoupling_check(
     drift = 0.0
     coher_ok = True
     pq0 = np.linalg.norm(gamma0[np.ix_(p, q)])
+    eig = np.linalg.eigh(d.X)
     for t in times:
-        g = evolve(d, gamma0, float(t))
+        g = _evolve_in_basis(d, eig, gamma0, float(t))
         drift = max(drift, float(np.abs(g[np.ix_(p, p)] - gamma0[np.ix_(p, p)]).max()))
         bound = pq0 * np.exp(-gap_q * t) * (1 + 1e-8) + 1e-12
         if np.linalg.norm(g[np.ix_(p, q)]) > bound:

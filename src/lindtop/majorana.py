@@ -34,25 +34,22 @@ __all__ = [
     "anticommutator_table",
     "pair_gamma_eigenvalues",
     "purity_spectrum",
-    "parent_hamiltonian",
     "purity_class",
     "check_covariance",
     "default_tol",
 ]
 
 
-def default_tol(*matrices: np.ndarray, rel: float = 1e-10) -> float:
-    """Relative tolerance scaled by the largest matrix norm involved.
+def default_tol(*matrices: np.ndarray) -> float:
+    """The one tolerance of the finite-lattice layer: ``1e-10 * max(1, ||A||_1)``.
 
-    Parameters
-    ----------
-    matrices : ndarray
-        Matrices whose spectral scale sets the tolerance.
-    rel : float
-        Relative tolerance factor.
+    ``||A||_1`` is the largest absolute column sum over the given matrices.
+    For the symmetric and antisymmetric matrices passed here it bounds the
+    spectral norm from above and exceeds it by at most ``sqrt(n)``, and it
+    costs O(n^2) where the spectral norm needs a full SVD.
     """
-    scale = max((np.linalg.norm(m, 2) for m in matrices if m.size), default=0.0)
-    return rel * max(scale, 1.0)
+    scale = max((np.abs(m).sum(axis=0).max() for m in matrices if m.size), default=0.0)
+    return 1e-10 * max(scale, 1.0)
 
 
 class MajoranaIndexing:
@@ -128,7 +125,11 @@ class Dissipator:
     X : (2N, 2N) real ndarray
         Symmetric positive-semidefinite damping matrix.
     Y : (2N, 2N) real ndarray
-        Antisymmetric fluctuation matrix.
+        Antisymmetric fluctuation matrix; it is the coefficient matrix of
+        the parent Hamiltonian ``sum_i L_i^dag L_i = tr(X)/2 - (i/4) sum_jk
+        Y_jk c_j c_k``.  For pure-capable families (pairwise anticommuting
+        jump operators) ``X^2 = -Y^2/4``: the damping rates are ``|e_n|/2``
+        where ``+/- i e_n`` are the eigenvalues of ``Y``.
     """
 
     X: np.ndarray
@@ -194,11 +195,10 @@ def anticommutator_table(lindblads: Sequence[np.ndarray]) -> np.ndarray:
     return 2.0 * (G @ G.T)
 
 
-def check_covariance(gamma: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+def check_covariance(gamma: np.ndarray) -> np.ndarray:
     """Validate a covariance matrix (real, antisymmetric, (i Gamma)^2 <= 1)."""
     gamma = np.asarray(gamma, dtype=float)
-    if tol is None:
-        tol = default_tol(gamma)
+    tol = default_tol(gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError("covariance matrix must be square")
     if np.abs(gamma + gamma.T).max() > tol:
@@ -260,7 +260,7 @@ class PuritySpectrum:
         return bool(self.values.size) and bool(np.all(np.abs(self.values - 1.0) <= 1e-8))
 
 
-def purity_spectrum(gamma: np.ndarray, tol: Optional[float] = None) -> PuritySpectrum:
+def purity_spectrum(gamma: np.ndarray) -> PuritySpectrum:
     """Purity spectrum of a covariance matrix.
 
     The ``2N`` eigenvalues of ``(i Gamma)^2`` are doubly degenerate; the N
@@ -268,19 +268,9 @@ def purity_spectrum(gamma: np.ndarray, tol: Optional[float] = None) -> PuritySpe
     Schur form and reported sorted ascending, clipped to ``[0, 1]`` within
     tolerance.
     """
-    gamma = check_covariance(gamma, tol=tol)
+    gamma = check_covariance(gamma)
     eps, _ = pair_gamma_eigenvalues(gamma)
     return PuritySpectrum(np.clip(eps**2, 0.0, 1.0))
-
-
-def parent_hamiltonian(d: Dissipator) -> np.ndarray:
-    """Coefficient matrix of ``H = sum_i L_i^dag L_i = i sum_ij Y_ij c_i c_j``.
-
-    Returns ``Y``.  When the jump operators pairwise anticommute (pure-
-    capable case) the parent-Hamiltonian spectrum ``+/- e_n`` relates to the
-    damping spectrum by ``X^2 = -Y^2/4``, i.e. damping rates are ``|e_n|/2``.
-    """
-    return d.Y.copy()
 
 
 @dataclass(frozen=True)
@@ -297,7 +287,7 @@ class PurityClassification:
         return self.label == "PureCapable"
 
 
-def purity_class(lindblads: Sequence[np.ndarray], tol: Optional[float] = None) -> PurityClassification:
+def purity_class(lindblads: Sequence[np.ndarray]) -> PurityClassification:
     """Classify a jump-operator family as pure-capable or mixed-forced.
 
     The family can reach a pure steady state iff all pairwise anticommutators
@@ -308,8 +298,7 @@ def purity_class(lindblads: Sequence[np.ndarray], tol: Optional[float] = None) -
         raise ValueError("purity_class requires a nonempty operator list")
     table = anticommutator_table(lindblads)
     d = build_dissipator(lindblads)
-    if tol is None:
-        tol = default_tol(d.X, d.Y)
+    tol = default_tol(d.X, d.Y)
     comm = np.linalg.norm(d.X @ d.Y - d.Y @ d.X, 2)
     sq = np.linalg.norm(d.X @ d.X + 0.25 * (d.Y @ d.Y), 2)
     max_ac = float(np.abs(table).max())

@@ -22,7 +22,13 @@ from lindtop.bloch import (
     winding_number,
     windings_around_u_zeros,
 )
-from lindtop.braiding import AdiabaticSchedule, BraidWord, braid_matrix, braid_via_schedule
+from lindtop.braiding import (
+    AdiabaticSchedule,
+    BraidWord,
+    braid_matrix,
+    braid_via_schedule,
+    vortex_exchange_path,
+)
 from lindtop.dynamics import mode_census_and_bulk_edge_check, steady_state, zero_damping_modes
 from lindtop.edge import build_mode, fit_localization, solve_beta
 from lindtop.majorana import build_dissipator, check_covariance, pair_gamma_eigenvalues
@@ -355,23 +361,8 @@ def test_acceptance_10_braiding_suite():
     c.ck(np.linalg.norm(np.linalg.matrix_power(B12, 4) - np.eye(3), 2) <= 1e-12,
          "B^4 != identity")
     # Adiabatic two-vortex exchange: leakage decreases over 3 time-doublings.
-    model = cross_2d(2.0)
     L, sep, delta = 14, 7.0, 0.7
-    ctr = (L - 1) / 2.0
-    cache = {}
-
-    def diss_at(s):
-        if s not in cache:
-            th = math.pi * s
-            vs = [VortexConfig((ctr - sep / 2 * math.cos(th), ctr - sep / 2 * math.sin(th)),
-                               1, core_scale=delta),
-                  VortexConfig((ctr + sep / 2 * math.cos(th), ctr + sep / 2 * math.sin(th)),
-                               1, core_scale=delta)]
-            fr = model.finite_realization((L, L), boundary="open", placement="truncated",
-                                          vortices=vs)
-            cache[s] = build_dissipator(fr.operators, num_majoranas=2 * L * L)
-        return cache[s]
-
+    diss_at = vortex_exchange_path(cross_2d(2.0), (L, L), sep, delta)
     gamma0 = steady_state(diss_at(0.0)).gamma
     leaks = []
     for T in (10.0, 20.0, 40.0, 80.0):

@@ -11,6 +11,7 @@ from lindtop.braiding import (
     braid_matrix,
     braid_via_schedule,
     vector_potential,
+    vortex_exchange_path,
 )
 from lindtop.dynamics import evolve, steady_state
 from lindtop.majorana import build_dissipator
@@ -136,28 +137,10 @@ def test_schedule_validation():
 
 @pytest.fixture(scope="module")
 def exchange_setup():
-    from lindtop.models import VortexConfig, cross_2d
+    from lindtop.models import cross_2d
 
-    model = cross_2d(2.0)
     L, sep, delta = 14, 7.0, 0.7
-    c = (L - 1) / 2
-    cache = {}
-
-    def diss_at(s):
-        if s not in cache:
-            theta = np.pi * s
-            vs = [
-                VortexConfig((c - sep / 2 * np.cos(theta), c - sep / 2 * np.sin(theta)),
-                             1, core_scale=delta),
-                VortexConfig((c + sep / 2 * np.cos(theta), c + sep / 2 * np.sin(theta)),
-                             1, core_scale=delta),
-            ]
-            fr = model.finite_realization((L, L), boundary="open",
-                                          placement="truncated", vortices=vs)
-            cache[s] = build_dissipator(fr.operators, num_majoranas=2 * L * L)
-        return cache[s]
-
-    return diss_at
+    return vortex_exchange_path(cross_2d(2.0), (L, L), sep, delta)
 
 
 def test_exchange_holonomy_and_leakage(exchange_setup):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
+from lindtop.braiding import AdiabaticSchedule, adiabatic_evolve
 from lindtop.dynamics import (
     block_decoupling_check,
     damping_spectrum,
@@ -34,6 +36,65 @@ def test_evolve_converges_to_steady_state(rng):
     target = steady_state(d).gamma
     g = evolve(d, np.zeros_like(target), 200.0)
     assert np.allclose(g, target, atol=1e-10)
+
+
+def _random_covariance(rng, n):
+    """A valid covariance: mixed rotation blocks in a random orthogonal frame."""
+    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    base = np.zeros((n, n))
+    for b in range(n // 2):
+        base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
+        base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
+    return R @ base @ R.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6))
+def test_evolve_long_time_is_steady_state(seed, num_modes, num_ops):
+    # With fewer operators than modes X has a kernel, on which both routes
+    # keep the initial block; elsewhere the flow relaxes at the smallest
+    # nonzero rate, so t = 40 / rate leaves e^-40 of the initial state.
+    rng = np.random.default_rng(seed)
+    d = build_dissipator(random_generic_family(rng, num_modes, num_ops))
+    g0 = _random_covariance(rng, 2 * num_modes)
+    rates = np.linalg.eigvalsh(d.X)
+    rate = rates[rates > 1e-8].min()
+    assume(rate > 1e-4)
+    g = evolve(d, g0, 40.0 / rate)
+    assert np.allclose(g, steady_state(d, initial=g0).gamma, atol=1e-9)
+
+
+def _dense_flow(d, h, g0, t):
+    """``expm`` of the affine superoperator of dGamma/dt = [h, G] - {X, G} + Y."""
+    n = g0.shape[0]
+    # [h, G] - {X, G} = A G + G A^T with A = h - X, and for row-major vec
+    # vec(A G) = (A kron I) vec(G), vec(G A^T) = (I kron A) vec(G).
+    A = h - d.X
+    aug = np.zeros((n * n + 1, n * n + 1))
+    aug[:-1, :-1] = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A)
+    aug[:-1, -1] = d.Y.ravel()
+    return (expm(aug * t) @ np.append(g0.ravel(), 1.0))[:-1].reshape(n, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3))
+def test_strang_splitting_is_second_order(seed, num_sites):
+    # A static dissipator and a static h: Strang splitting is the only error,
+    # so it matches the dense reference and falls 4x per halving of dt.
+    rng = np.random.default_rng(seed)
+    n = 2 * num_sites
+    ops = random_generic_family(rng, num_sites, int(rng.integers(1, num_sites + 1)))
+    d = build_dissipator([0.5 * l for l in ops], num_majoranas=n)
+    B = rng.standard_normal((n, n))
+    h = B - B.T
+    g0 = _random_covariance(rng, n)
+    ref = _dense_flow(d, h, g0, 1.0)
+    errs = []
+    for steps in (16, 32):
+        sched = AdiabaticSchedule(lambda s: d, 1.0, steps, hamiltonian=lambda s: h)
+        errs.append(np.abs(adiabatic_evolve(sched, g0).gamma - ref).max())
+    assert errs[1] < 1e-2
+    assert 3.5 < errs[0] / errs[1] < 4.5
 
 
 def test_evolve_semigroup(rng):

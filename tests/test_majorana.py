@@ -8,10 +8,10 @@ from lindtop.majorana import (
     MajoranaIndexing,
     anticommutator_table,
     build_dissipator,
+    default_tol,
     dirac_from_nambu,
     nambu_from_dirac,
     pair_gamma_eigenvalues,
-    parent_hamiltonian,
     purity_class,
     purity_spectrum,
 )
@@ -109,16 +109,30 @@ def test_pair_gamma_eigenvalues_and_purity(rng):
 
 def test_parent_hamiltonian_ground_state_is_dark():
     # For a pure-capable family the steady state minimizes the parent
-    # Hamiltonian built from Y.
+    # Hamiltonian, whose coefficient matrix is Y.
     kit = kitaev_wire().finite_realization((6,), boundary="periodic")
     d = build_dissipator(kit.operators)
     gamma = steady_state(d).gamma
-    H = parent_hamiltonian(d)
+    H = d.Y
     # dark state <=> Tr(H Gamma)/4 reaches the minimal achievable energy; for
     # anticommuting families this is -sum of singular values of Y / 4.
     energy = -0.25 * np.einsum("ij,ij->", H, gamma)
     sv = np.linalg.svd(d.Y, compute_uv=False)
     assert energy == pytest.approx(-0.25 * sv.sum(), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 64), st.sampled_from([1.0, -1.0]),
+       st.floats(-3.0, 3.0))
+def test_default_tol_brackets_spectral_norm(seed, n, parity, log_scale):
+    # For symmetric (parity +1) and antisymmetric (parity -1) matrices the
+    # 1-norm lies between ||A||_2 and sqrt(n) ||A||_2; the scale spans both
+    # sides of the max(1, .) floor.  The 1e-12 factors absorb SVD rounding.
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    A = 10.0**log_scale * (B + parity * B.T)
+    ref = 1e-10 * max(1.0, np.linalg.norm(A, 2))
+    tol = default_tol(A)
+    assert ref * (1 - 1e-12) <= tol <= np.sqrt(n) * ref * (1 + 1e-12)
 
 
 def test_build_dissipator_validates_input():
