@@ -116,10 +116,12 @@ def vortex_exchange_path(model, lattice, separation: float,
 
     At ``s`` the pair sits ``separation`` apart on a line through the centre
     of ``lattice = (W, H)`` rotated by ``pi s``; open boundary, truncated
-    placement.
+    placement.  Raises ``ValueError`` when that circle leaves the lattice.
     """
     W, H = lattice
     cx, cy = (W - 1) / 2, (H - 1) / 2
+    if abs(separation) / 2 > min(cx, cy):
+        raise ValueError(f"exchange circle of separation {separation} leaves lattice {lattice}")
     cache: Dict[float, Dissipator] = {}
 
     def diss_at(s: float) -> Dissipator:

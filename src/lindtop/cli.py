@@ -300,8 +300,8 @@ _common = [
                  help="Key=value or JSON file with model parameters."),
     click.option("--out", "out", default=None, type=click.Path(), help="Output file (default stdout)."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
-    click.option("--tol", type=float, default=1e-8, help="Gap tolerance."),
 ]
+_tol = click.option("--tol", type=float, default=1e-8, help="Gap tolerance.")
 
 
 def _with_common(f):
@@ -321,6 +321,7 @@ def _collect_params(param, config_file, kappa, beta) -> Dict[str, object]:
 
 @main.command()
 @_with_common
+@_tol
 @click.option("--grid", type=int, default=None, help="BZ grid points per axis (256 / 64).")
 def spectrum(model_name, param, kappa, beta, config_file, out, fmt, tol, grid):
     """Momentum-resolved damping rates and purity eigenvalue."""
@@ -350,6 +351,7 @@ def spectrum(model_name, param, kappa, beta, config_file, out, fmt, tol, grid):
 
 @main.command()
 @_with_common
+@_tol
 @click.option("--sweep", "sweep_spec", required=True,
               help="Swept parameter: key=start:stop:step or key=v1,v2,...")
 @click.option("--grid", type=int, default=None)
@@ -369,6 +371,7 @@ def sweep(model_name, param, kappa, beta, config_file, out, fmt, tol, sweep_spec
 
 @main.command()
 @_with_common
+@_tol
 @click.option("--grid", type=int, default=None)
 @click.option("--task", "which", type=click.Choice(["auto", "winding", "chern", "uzeros"]),
               default="auto", help="Which invariant to compute.")
@@ -406,7 +409,7 @@ def invariant(model_name, param, kappa, beta, config_file, out, fmt, tol, grid, 
 @_with_common
 @click.option("--lattice", default=None, help="Open-chain length (1D) or WxH (2D).")
 @click.option("--phases", default="0,pi", help="Comma list of edge phases (radians or 'pi').")
-def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, tol, lattice, phases):
+def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, lattice, phases):
     """Analytic edge modes: beta factors, decay lengths, and damping residuals."""
     params = _collect_params(param, config_file, kappa, beta)
     model = _make_model(model_name, params)
@@ -456,7 +459,7 @@ def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, tol, latti
 @click.option("--separations", default=None,
               help="Comma list of separations: emit the residual-rate table instead.")
 @click.option("--vorticity", type=int, default=1)
-def vortex(model_name, param, kappa, beta, config_file, out, fmt, tol,
+def vortex(model_name, param, kappa, beta, config_file, out, fmt,
            lattice, separation, separations, vorticity):
     """Two-vortex spectra: quasi-zero damping/purity modes or rate-vs-d table."""
     params = _collect_params(param, config_file, kappa, beta)
@@ -472,9 +475,12 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt, tol,
         cfg = _normalized_config(task="vortex", model=model_name, params=params,
                                  lattice="x".join(map(str, ext)),
                                  separations=ds, vorticity=vorticity, format=fmt)
-        table = residual_damping_vs_separation(
-            float(params.get("beta", 2.0)), ds, lattice=ext[0], ell=vorticity,
-        )
+        try:
+            table = residual_damping_vs_separation(
+                float(params.get("beta", 2.0)), ds, lattice=ext[0], ell=vorticity,
+            )
+        except ValueError as exc:   # a vortex center outside the lattice
+            raise ConfigError(str(exc)) from exc
         rows = list(zip(table.separations, table.rates))
         _write_table(out, fmt, cfg, ["separation", "residual_rate"], rows,
                      {"fit_slope": table.fit_slope, "fit_r2": table.fit_r2})
@@ -487,7 +493,10 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt, tol,
         VortexConfig((cx - separation / 2, cy), vorticity),
         VortexConfig((cx + separation / 2, cy), vorticity),
     ]
-    fr = model.finite_realization(ext, boundary="open", placement="truncated", vortices=vs)
+    try:
+        fr = model.finite_realization(ext, boundary="open", placement="truncated", vortices=vs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rates = smallest_damping_rates(fr, k=6)
     d = build_dissipator(fr.operators, num_majoranas=2 * ext[0] * ext[1])
     gamma = steady_state(d).gamma
@@ -503,7 +512,7 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt, tol,
 @click.option("--times", default="20,40,80", help="Comma list of total times T.")
 @click.option("--dt", type=float, default=0.5, help="Integrator step.")
 @click.option("--core-scale", type=float, default=0.7)
-def braid(model_name, param, kappa, beta, config_file, out, fmt, tol,
+def braid(model_name, param, kappa, beta, config_file, out, fmt,
           lattice, separation, times, dt, core_scale):
     """Adiabatic two-vortex exchange: leakage and holonomy vs total time."""
     from .braiding import AdiabaticSchedule, braid_via_schedule, vortex_exchange_path
@@ -520,12 +529,19 @@ def braid(model_name, param, kappa, beta, config_file, out, fmt, tol,
     cfg = _normalized_config(task="braid", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), separation=separation,
                              times=t_list, dt=dt, core_scale=core_scale, format=fmt)
-    diss_at = vortex_exchange_path(model, ext, separation, core_scale)
+    try:
+        diss_at = vortex_exchange_path(model, ext, separation, core_scale)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     gamma0 = steady_state(diss_at(0.0)).gamma
     rows = []
     for T in t_list:
         steps = max(2, int(round(T / dt)))
-        rep = braid_via_schedule(AdiabaticSchedule(diss_at, T, steps), gamma0, block_dim=2)
+        try:
+            rep = braid_via_schedule(AdiabaticSchedule(diss_at, T, steps), gamma0, block_dim=2)
+        except ValueError as exc:   # e.g. a decoherence-free frame jump
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL)
         rows.append((T, float(rep.leakage), float(rep.fidelity_error), float(rep.min_gap)))
     _write_table(out, fmt, cfg, ["total_time", "leakage", "fidelity_error", "min_gap"], rows)
 

@@ -35,7 +35,6 @@ import numpy as np
 from scipy import linalg
 
 from .bloch import BlochStencil
-from .majorana import build_dissipator
 from .models import FiniteRealization, ModelInstance
 
 __all__ = [
@@ -369,8 +368,7 @@ def build_mode(
     if nrm <= 0:
         raise ValueError("mode amplitude vanished on the finite lattice")
     vec /= nrm
-    d = build_dissipator(realization.operators, num_majoranas=vec.size)
-    residual = float(np.linalg.norm(d.X @ vec))
+    residual = float(np.linalg.norm(realization.damping_matrix() @ vec))
     return MajoranaMode(vec, residual, solution, tuple(edge))
 
 

@@ -10,14 +10,13 @@ momentum-space closed forms of the corresponding symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bloch import RATE_SCALE, BlochStencil
-from .majorana import MajoranaIndexing
 
 __all__ = [
     "ModelInstance",
@@ -31,7 +30,6 @@ __all__ = [
     "cross_2d",
     "cylinder_reduce",
     "insert_vortices",
-    "sparse_damping_matrix",
     "residual_damping_vs_separation",
 ]
 
@@ -64,24 +62,63 @@ class VortexConfig:
 
 @dataclass(frozen=True)
 class FiniteRealization:
-    """Explicit jump-operator vectors on a finite lattice."""
+    """Jump operators on a finite lattice as one sparse matrix ``G``.
 
-    operators: List[np.ndarray]
-    indexing: MajoranaIndexing
+    Row ``i`` of the CSR matrix ``G`` is the Majorana coefficient vector
+    ``l_i`` of jump operator ``i`` (one column per Majorana).  Rows follow the
+    lattice anchors in ``np.ndindex`` order and the model's families inside
+    each anchor; all-zero operators are dropped.  The dense ``(X, Y)`` of
+    :func:`~lindtop.majorana.build_dissipator` (from :attr:`operators`) and
+    the sparse :meth:`damping_matrix` both derive from ``G``.
+    """
+
+    G: sp.csr_matrix
     extent: Tuple[int, ...]
 
-    def site_id(self, pos: Sequence[int]) -> int:
-        if len(self.extent) == 1:
-            return int(pos[0])
-        return int(pos[0]) * self.extent[1] + int(pos[1])
+    @property
+    def operators(self) -> List[np.ndarray]:
+        """The rows of ``G`` as dense (2N,) complex vectors."""
+        return list(self.G.toarray())
+
+    def damping_matrix(self) -> sp.csr_matrix:
+        """Sparse damping matrix ``X = 2 Re(G^H G)``.
+
+        Each operator adds ``2 Re(conj(l_a) l_b)`` for every pair (a, b) of
+        its support, and coinciding entries are summed in operator order.  A
+        sparse product ``G^H @ G`` groups the same sums differently, and that
+        last-ulp difference moves the quasi-zero rates of a vortex pair by
+        ~1e-13.
+        """
+        G = self.G
+        size = np.diff(G.indptr)                                # support size per operator
+        row = np.repeat(np.arange(G.shape[0]), size)            # operator of each stored entry
+        k = size[row]
+        p = np.repeat(np.arange(G.nnz), k)                      # all (p, q) in one row, row-major
+        q = np.arange(p.size) + np.repeat(G.indptr[row] - (np.cumsum(k) - k), k)
+        vals = 2.0 * np.real(G.data[p].conj() * G.data[q])
+        n = G.shape[1]
+        return sp.coo_matrix((vals, (G.indices[p], G.indices[q])), shape=(n, n)).tocsr()
 
     def positions(self) -> np.ndarray:
         """(N, d) array of site coordinates in site-id order."""
-        if len(self.extent) == 1:
-            return np.arange(self.extent[0], dtype=float)[:, None]
-        Lx, Ly = self.extent
-        xs, ys = np.meshgrid(np.arange(Lx), np.arange(Ly), indexing="ij")
-        return np.stack([xs.ravel(), ys.ravel()], axis=-1).astype(float)
+        return np.indices(self.extent).reshape(len(self.extent), -1).T.astype(float)
+
+
+def _vortex_factors(vortices: Sequence[VortexConfig], pos: np.ndarray) -> np.ndarray:
+    """Product of core profiles times ``e^{-i sum ell phi}`` at (n, 2) sites.
+
+    Distances and angles use ``math.hypot``/``math.atan2``: ``np.arctan2`` is
+    a CPU-dependent SIMD approximation and ``np.hypot`` rounds differently,
+    and such last-ulp differences move the quasi-zero damping rates of a
+    vortex pair by ~1e-13.
+    """
+    fac = np.ones(len(pos))
+    phase = np.zeros(len(pos))
+    for vx in vortices:
+        dx, dy = pos[:, 0] - vx.center[0], pos[:, 1] - vx.center[1]
+        fac = fac * vx.profile(np.fromiter(map(math.hypot, dx, dy), float, len(pos)))
+        phase = phase + vx.ell * np.fromiter(map(math.atan2, dy, dx), float, len(pos))
+    return fac * np.exp(-1j * phase)
 
 
 @dataclass(frozen=True)
@@ -108,7 +145,7 @@ class ModelInstance:
         placement: str = "interior",
         vortices: Sequence[VortexConfig] = (),
     ) -> FiniteRealization:
-        """Build the explicit jump-operator list on a finite lattice.
+        """Place the jump operators on a finite lattice.
 
         Parameters
         ----------
@@ -124,6 +161,7 @@ class ModelInstance:
         vortices : sequence of VortexConfig
             Applied to the annihilation coefficients (2D only): phases add,
             core profiles multiply; creation coefficients are untouched.
+            Every center must lie inside the lattice.
         """
         ext = (int(extent),) if np.isscalar(extent) else tuple(int(e) for e in extent)
         if len(ext) != self.dim:
@@ -136,93 +174,55 @@ class ModelInstance:
             raise ValueError(f"unknown placement {placement!r}")
         if vortices and self.dim != 2:
             raise ValueError("vortices require a 2D model")
+        for vx in vortices:
+            if not all(0 <= c <= e - 1 for c, e in zip(vx.center, ext)):
+                raise ValueError(f"vortex center {tuple(map(float, vx.center))} "
+                                 f"outside lattice {ext}")
 
-        periodic = tuple(
-            boundary == "periodic" or (boundary == "cylinder" and ax == 1)
-            for ax in range(self.dim)
-        )
-        nsites = int(np.prod(ext))
-        idx = MajoranaIndexing(nsites)
-
-        def site_id(pos):
-            return pos[0] if self.dim == 1 else pos[0] * ext[1] + pos[1]
-
-        def vortex_factor(pos):
-            if not vortices:
-                return 1.0
-            x, y = float(pos[0]), float(pos[1])
-            fac = 1.0 + 0.0j
-            phase = 0.0
-            for vx in vortices:
-                dx, dy = x - vx.center[0], y - vx.center[1]
-                r = math.hypot(dx, dy)
-                fac *= float(vx.profile(r))
-                phase += vx.ell * math.atan2(dy, dx)
-            return fac * np.exp(-1j * phase)
-
-        # Balanced interior placement: each family keeps a symmetric margin
-        # equal to the mismatch between its own span and the union span of
-        # all families, so competing processes of different range terminate
-        # together at an open boundary (single-family models get margin 0).
-        lo = [min(st.offsets[i][ax] for _, st in self.families for i in range(len(st.offsets)))
-              for ax in range(self.dim)]
-        hi = [max(st.offsets[i][ax] for _, st in self.families for i in range(len(st.offsets)))
-              for ax in range(self.dim)]
-        pads = {}
-        for _, st in self.families:
-            flo = [min(o[ax] for o in st.offsets) for ax in range(self.dim)]
-            fhi = [max(o[ax] for o in st.offsets) for ax in range(self.dim)]
-            pads[id(st)] = tuple(
-                (hi[ax] - lo[ax]) - (fhi[ax] - flo[ax]) for ax in range(self.dim)
-            )
-
-        ops: List[np.ndarray] = []
-        all_anchor = np.ndindex(*ext)
-        for anchor in all_anchor:
-            for weight, st in self.families:
-                scale = RATE_SCALE * math.sqrt(weight)
-                pad = pads[id(st)]
-                if placement == "interior":
-                    margin_bad = False
-                    for ax in range(self.dim):
-                        if periodic[ax] or pad[ax] == 0:
-                            continue
-                        fam_lo = min(o[ax] for o in st.offsets)
-                        fam_hi = max(o[ax] for o in st.offsets)
-                        if (anchor[ax] + fam_lo - pad[ax] < 0
-                                or anchor[ax] + fam_hi + pad[ax] >= ext[ax]):
-                            margin_bad = True
-                            break
-                    if margin_bad:
-                        continue
-                entries = []   # (site, u_coeff, v_coeff)
-                skip = False
-                for off, uc, vc in zip(st.offsets, st.u, st.v):
-                    pos = [anchor[ax] + off[ax] for ax in range(self.dim)]
-                    outside = False
-                    for ax in range(self.dim):
-                        if periodic[ax]:
-                            pos[ax] %= ext[ax]
-                        elif not 0 <= pos[ax] < ext[ax]:
-                            outside = True
-                    if outside:
-                        if placement == "interior":
-                            skip = True
-                            break
-                        continue   # truncated: drop the term
-                    entries.append((tuple(pos), uc, vc))
-                if skip or not entries:
-                    continue
-                l = np.zeros(idx.num_majoranas, dtype=complex)
-                for pos, uc, vc in entries:
-                    A = scale * uc * vortex_factor(pos)
-                    C = scale * vc
-                    n = site_id(pos)
-                    l[2 * n] += 0.5j * (C - A)
-                    l[2 * n + 1] += 0.5 * (C + A)
-                if np.abs(l).max() > 0:
-                    ops.append(l)
-        return FiniteRealization(ops, idx, ext)
+        shape = np.array(ext)
+        periodic = np.array([boundary == "periodic" or (boundary == "cylinder" and ax == 1)
+                             for ax in range(self.dim)])
+        anchors = np.indices(ext).reshape(self.dim, -1).T      # np.ndindex order = site ids
+        vf = _vortex_factors(vortices, anchors) if vortices else None   # per site
+        offsets = [np.array(st.offsets) for _, st in self.families]
+        every = np.concatenate(offsets)
+        span = every.max(0) - every.min(0)
+        nfam = len(self.families)
+        rows, cols, vals = [], [], []
+        for f, ((weight, st), off) in enumerate(zip(self.families, offsets)):
+            pos = anchors[:, None, :] + off                    # (anchor, term, axis)
+            pos = np.where(periodic, pos % shape, pos)
+            keep = ((pos >= 0) & (pos < shape)).all(-1)       # term inside the lattice
+            if placement == "interior":
+                # Balanced interior placement: each family keeps a symmetric
+                # margin equal to the mismatch between its own span and the
+                # union span of all families, so competing processes of
+                # different range terminate together at an open boundary
+                # (single-family models get margin 0).
+                lo, hi = off.min(0), off.max(0)
+                pad = span - (hi - lo)
+                short = (anchors + lo - pad < 0) | (anchors + hi + pad >= shape)
+                fits = keep.all(1) & ~(short & ~periodic & (pad != 0)).any(1)
+                keep &= fits[:, None]
+            a, t = np.nonzero(keep)
+            site = np.ravel_multi_index(tuple(pos[a, t].T), ext)
+            scale = RATE_SCALE * math.sqrt(weight)
+            A = scale * np.array(st.u)[t]
+            if vf is not None:
+                A = A * vf[site]
+            C = scale * np.array(st.v)[t]
+            row = a * nfam + f
+            rows += [row, row]
+            cols += [2 * site, 2 * site + 1]
+            vals += [0.5j * (C - A), 0.5 * (C + A)]
+        # Coinciding terms (periodic wrap on short rings) are summed.
+        G = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(anchors) * nfam, 2 * len(anchors)),
+        ).tocsr()
+        G.eliminate_zeros()
+        G = G[np.diff(G.indptr) > 0]
+        return FiniteRealization(G, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -351,39 +351,17 @@ def insert_vortices(
 ) -> FiniteRealization:
     """Finite jump-operator set of a 2D model threaded by vortices.
 
-    Vortex centers must lie inside the lattice.  Truncated placement is the
-    default here: every site carries an operator so the only surviving
-    quasi-zero damping modes are the vortex-bound ones.
+    ``lattice`` is ``L`` (an L x L square) or ``(W, H)``.  Truncated
+    placement is the default here: every site carries an operator so the
+    only surviving quasi-zero damping modes are the vortex-bound ones.
     """
-    ext = tuple(int(e) for e in (lattice if not np.isscalar(lattice) else (lattice, lattice)))
-    for vx in vortices:
-        if not (0 <= vx.center[0] <= ext[0] - 1 and 0 <= vx.center[1] <= ext[1] - 1):
-            raise ValueError(f"vortex center {vx.center} outside lattice {ext}")
+    ext = (lattice, lattice) if np.isscalar(lattice) else lattice
     return model.finite_realization(ext, boundary=boundary, placement=placement, vortices=vortices)
-
-
-def sparse_damping_matrix(real: FiniteRealization) -> sp.csr_matrix:
-    """Sparse X = 2 Re sum_i conj(l_i) x l_i from local operator supports."""
-    rows, cols, vals = [], [], []
-    for l in real.operators:
-        support = np.nonzero(np.abs(l) > 0)[0]
-        sub = l[support]
-        block = 2.0 * np.real(np.outer(sub.conj(), sub))
-        rr, cc = np.meshgrid(support, support, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(block.ravel())
-    n = real.indexing.num_majoranas
-    X = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return X.tocsr()
 
 
 def smallest_damping_rates(real: FiniteRealization, k: int = 6) -> np.ndarray:
     """k smallest damping rates via sparse shift-invert, ascending."""
-    X = sparse_damping_matrix(real)
+    X = real.damping_matrix()
     n = X.shape[0]
     if n <= 512:
         return np.sort(np.clip(np.linalg.eigvalsh(X.toarray()), 0, None))[:k]

@@ -157,3 +157,11 @@ def test_exchange_holonomy_and_leakage(exchange_setup):
     assert leaks[1] < leaks[0]
     assert orth[1] < orth[0]
     assert rep.fidelity_error < 0.1
+
+
+def test_exchange_path_rejects_circle_outside_lattice():
+    from lindtop.models import cross_2d
+
+    with pytest.raises(ValueError, match="leaves lattice"):
+        vortex_exchange_path(cross_2d(2.0), (14, 10), 10.0, 0.7)
+    vortex_exchange_path(cross_2d(2.0), (14, 10), 9.0, 0.7)   # radius 4.5 = (10 - 1) / 2

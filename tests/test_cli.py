@@ -192,6 +192,39 @@ def test_vortex_small_lattice():
     assert float(rows[0][1]) < 1e-4 and float(rows[1][1]) < 1e-4
 
 
+def test_vortex_center_outside_lattice_exits_2():
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
+                  "--lattice", "10x10", "--separation", "30")
+    assert res.exit_code == 2
+    assert "outside lattice" in res.output
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
+                  "--lattice", "10x10", "--separations", "4,30")
+    assert res.exit_code == 2
+    assert "outside lattice" in res.output
+
+
+def test_braid_exchange_circle_outside_lattice_exits_2():
+    res = run_cli("braid", "--model", "cross2d", "--beta", "2",
+                  "--lattice", "8x8", "--separation", "9", "--times", "2")
+    assert res.exit_code == 2
+    assert "leaves lattice" in res.output
+
+
+def test_braid_frame_jump_exits_3():
+    res = run_cli("braid", "--model", "cross2d", "--beta", "2",
+                  "--lattice", "8x8", "--separation", "4", "--times", "2")
+    assert res.exit_code == 3
+    assert "numerical failure" in res.output and "frame jump" in res.output
+
+
+@pytest.mark.parametrize("command", ["vortex", "braid", "edge-modes"])
+def test_tol_only_on_momentum_commands(command):
+    # --tol is a gap tolerance of spectrum, sweep and invariant only.
+    res = run_cli(command, "--model", "cross2d", "--beta", "2", "--lattice", "8x8", "--tol", "5")
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_reproduce_golden_files(tmp_path):
     # Tolerance-mode comparison against checked-in recipe outputs (coarse
     # grids so the gate stays fast; the full-resolution recipes share the

@@ -1,11 +1,22 @@
 """Model zoo: stencil structure, gap closures, vortices, dimensional reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lindtop.bloch import bz_grid, flatten, momentum_state, sector_rates, winding_number
-from lindtop.majorana import build_dissipator, purity_class
+from lindtop.bloch import (
+    RATE_SCALE,
+    BlochStencil,
+    bz_grid,
+    flatten,
+    momentum_state,
+    sector_rates,
+    winding_number,
+)
+from lindtop.majorana import build_dissipator, default_tol, nambu_from_dirac, purity_class
 from lindtop.models import (
+    ModelInstance,
     VortexConfig,
     cross_2d,
     cylinder_reduce,
@@ -136,3 +147,124 @@ def test_residual_rate_decays_with_separation():
 def test_parameter_domains():
     with pytest.raises(ValueError):
         zigzag_competing(-0.5)
+
+
+def _reference_operators(model, ext, boundary, placement, vortices=()):
+    """Operator-by-operator placement: one (2N,) vector per anchor and family."""
+    dim = len(ext)
+    periodic = [boundary == "periodic" or (boundary == "cylinder" and ax == 1)
+                for ax in range(dim)]
+    every = [o for _, st in model.families for o in st.offsets]
+    span = [max(o[ax] for o in every) - min(o[ax] for o in every) for ax in range(dim)]
+    nsites = int(np.prod(ext))
+    ops = []
+    for anchor in np.ndindex(*ext):
+        for weight, st in model.families:
+            lo = [min(o[ax] for o in st.offsets) for ax in range(dim)]
+            hi = [max(o[ax] for o in st.offsets) for ax in range(dim)]
+            pad = [span[ax] - (hi[ax] - lo[ax]) for ax in range(dim)]
+            if placement == "interior" and any(
+                not periodic[ax] and pad[ax] != 0
+                and (anchor[ax] + lo[ax] - pad[ax] < 0 or anchor[ax] + hi[ax] + pad[ax] >= ext[ax])
+                for ax in range(dim)
+            ):
+                continue
+            A = np.zeros(nsites, complex)
+            C = np.zeros(nsites, complex)
+            scale = RATE_SCALE * math.sqrt(weight)
+            fits = True
+            for off, u, v in zip(st.offsets, st.u, st.v):
+                pos = [anchor[ax] + off[ax] for ax in range(dim)]
+                pos = [p % e if per else p for p, e, per in zip(pos, ext, periodic)]
+                if not all(0 <= p < e for p, e in zip(pos, ext)):
+                    fits = False
+                    continue
+                factor, phase = 1.0, 0.0
+                for vx in vortices:
+                    dx, dy = pos[0] - vx.center[0], pos[1] - vx.center[1]
+                    factor *= float(vx.profile(math.hypot(dx, dy)))
+                    phase += vx.ell * math.atan2(dy, dx)
+                site = int(np.ravel_multi_index(pos, ext))
+                A[site] += scale * u * factor * np.exp(-1j * phase)
+                C[site] += scale * v
+            if placement == "interior" and not fits:
+                continue
+            l = nambu_from_dirac(A, C)
+            if np.abs(l).max() > 0:
+                ops.append(l)
+    return np.array(ops).reshape(-1, 2 * nsites)
+
+
+def _assert_matches_reference(model, ext, boundary, placement, vortices=()):
+    fr = model.finite_realization(ext, boundary=boundary, placement=placement, vortices=vortices)
+    ref = _reference_operators(model, ext, boundary, placement, vortices)
+    G = fr.G.toarray()
+    assert G.shape == ref.shape
+    assert np.abs(G - ref).max(initial=0.0) <= 1e-15
+    assert len(fr.operators) == len(ref)
+    assert all(np.array_equal(l, g) for l, g in zip(fr.operators, G))
+    n = 2 * int(np.prod(ext))
+    X = build_dissipator(fr.operators, num_majoranas=n).X
+    assert np.abs(fr.damping_matrix().toarray() - X).max() <= default_tol(X)
+    return fr
+
+
+_ZOO_1D = [kitaev_wire(), three_site_wire(0.8), three_site_wire(0.0), zigzag_coherent(0.6),
+           zigzag_competing(0.5), zigzag_competing(0.0)]
+
+
+@pytest.mark.parametrize("placement", ["interior", "truncated"])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize(
+    "model", _ZOO_1D, ids=lambda m: "-".join([m.name, *(f"{v:g}" for v in m.parameters.values())])
+)
+def test_sparse_G_matches_reference_1d(model, boundary, placement):
+    # Extents 2 and 3 fold periodic offsets onto one site, where terms sum.
+    for n in (2, 3, 7):
+        _assert_matches_reference(model, (n,), boundary, placement)
+
+
+@pytest.mark.parametrize("placement", ["interior", "truncated"])
+@pytest.mark.parametrize("boundary", ["open", "periodic", "cylinder"])
+@pytest.mark.parametrize("beta", [2.0, 0.0])
+def test_sparse_G_matches_reference_2d(beta, boundary, placement):
+    for ext in ((2, 3), (3, 2), (5, 4)):
+        _assert_matches_reference(cross_2d(beta), ext, boundary, placement)
+
+
+def test_zero_weight_family_rows_dropped():
+    # kappa = 0 gives the range-2 family weight 0: only range-1 rows remain.
+    fr = _assert_matches_reference(zigzag_competing(0.0), (10,), "periodic", "truncated")
+    assert fr.G.shape == (10, 20)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_sparse_G_matches_reference_vortices(boundary):
+    smooth = [VortexConfig((2.3, 4.1), 1, 0.7), VortexConfig((5.5, 4.6), -1, 0.7)]
+    wound = [VortexConfig((3.5, 3.0), 2, 0.5)]
+    for placement in ("interior", "truncated"):
+        for vs in (smooth, wound):
+            _assert_matches_reference(cross_2d(2.0), (8, 7), boundary, placement, vs)
+    point = [VortexConfig((2.0, 4.0), 1), VortexConfig((6.0, 4.0), 1)]
+    _assert_matches_reference(cross_2d(2.0), (9, 9), boundary, "truncated", point)
+
+
+def test_point_cores_drop_vanishing_operators():
+    # A pure on-site annihilation family: the point core f(0) = 0 empties
+    # the operator on each core site, and both rows are dropped.
+    drain = ModelInstance("drain", {}, ((1.0, BlochStencil(2, ((0, 0),), u=(1.0,), v=(0.0,))),))
+    point = [VortexConfig((2.0, 4.0), 1), VortexConfig((6.0, 4.0), 1)]
+    fr = _assert_matches_reference(drain, (9, 9), "open", "truncated", point)
+    assert fr.G.shape == (9 * 9 - 2, 2 * 9 * 9)
+    assert np.all(np.diff(fr.G.indptr) > 0)
+
+
+def test_vortex_center_outside_lattice_rejected():
+    model = cross_2d(2.0)
+    with pytest.raises(ValueError, match="outside lattice"):
+        model.finite_realization((10, 10), placement="truncated",
+                                 vortices=[VortexConfig((-10.5, 4.5), 1)])
+    with pytest.raises(ValueError, match="outside lattice"):
+        insert_vortices(model, [VortexConfig((4.5, 9.5), 1)], (10, 10))
+    # The boundary rows and columns themselves are inside.
+    insert_vortices(model, [VortexConfig((0.0, 9.0), 1)], (10, 10))
