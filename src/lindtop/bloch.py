@@ -27,8 +27,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .majorana import build_dissipator
-
 __all__ = [
     "BlochStencil",
     "BlochSymbol",
@@ -44,7 +42,6 @@ __all__ = [
     "winding_number",
     "chern_number",
     "windings_around_u_zeros",
-    "symmetry_transform_check",
     "find_symmetry_center",
     "GapClosedError",
 ]
@@ -613,30 +610,3 @@ def _confirm_u_zero(
         cx, cy = float(gx[i]), float(gy[j])
         half = 2.0 * half / (m - 1)   # shrink to one subgrid spacing
     return best <= rel_tol * scale
-
-
-def symmetry_transform_check(
-    lindblads: Sequence[np.ndarray],
-    S: np.ndarray,
-    sign: int = 1,
-    gamma: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-) -> Tuple[bool, float]:
-    """Check invariance of the dissipator (and steady state) under S.
-
-    Verifies ``X = S X S^T``, ``Y = sign * S Y S^T`` and, when a steady state
-    is supplied, ``Gamma = sign * S^T Gamma S`` (sign +1 for unitary, -1 for
-    antiunitary symmetries).
-
-    Returns (holds, max violation norm).
-    """
-    S = np.asarray(S, float)
-    if np.linalg.norm(S @ S.T - np.eye(S.shape[0]), 2) > 1e-12:
-        raise ValueError("S must be orthogonal")
-    d = build_dissipator(lindblads)
-    viol = np.linalg.norm(d.X - S @ d.X @ S.T, 2)
-    viol = max(viol, np.linalg.norm(d.Y - sign * (S @ d.Y @ S.T), 2))
-    if gamma is not None:
-        viol = max(viol, np.linalg.norm(gamma - sign * (S.T @ gamma @ S), 2))
-    scale = max(1.0, np.linalg.norm(d.X, 2) + np.linalg.norm(d.Y, 2))
-    return bool(viol <= tol * scale), float(viol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import lapack, schur, svdvals
 
 __all__ = [
     "MajoranaIndexing",
@@ -50,6 +50,18 @@ def default_tol(*matrices: np.ndarray) -> float:
     """
     scale = max((np.abs(m).sum(axis=0).max() for m in matrices if m.size), default=0.0)
     return 1e-10 * max(scale, 1.0)
+
+
+def _is_positive_definite(A: np.ndarray) -> bool:
+    """Whether one Cholesky factorization of the symmetric matrix ``A`` succeeds.
+
+    ``A`` is overwritten.  It is passed transposed, which is the same
+    symmetric matrix in Fortran order, so LAPACK factors it without a copy.
+    ``potrf`` does not stop at a NaN entry; the NaN reaches the diagonal of
+    the factor, which is therefore checked too.
+    """
+    factor, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0 and bool(np.isfinite(factor.diagonal()).all())
 
 
 class MajoranaIndexing:
@@ -146,8 +158,17 @@ class Dissipator:
             raise ValueError("X is not symmetric")
         if np.abs(Y + Y.T).max() > tol:
             raise ValueError("Y is not antisymmetric")
-        if X.size and np.linalg.eigvalsh(X).min() < -tol:
-            raise ValueError("X is not positive semidefinite")
+        if X.size:
+            # X >= -tol*I, proved by a Cholesky factorization of X + tol*I; the
+            # eigenvalue for the message is computed only when it fails.
+            shifted = X.copy()
+            shifted.flat[:: X.shape[0] + 1] += tol
+            if not _is_positive_definite(shifted):
+                lam = np.linalg.eigvalsh(X)[0]
+                raise ValueError(
+                    f"X is not positive semidefinite: smallest eigenvalue {lam:.6g}, "
+                    f"tol {tol:.6g}"
+                )
 
     @property
     def num_majoranas(self) -> int:
@@ -195,18 +216,37 @@ def anticommutator_table(lindblads: Sequence[np.ndarray]) -> np.ndarray:
     return 2.0 * (G @ G.T)
 
 
-def check_covariance(gamma: np.ndarray) -> np.ndarray:
-    """Validate a covariance matrix (real, antisymmetric, (i Gamma)^2 <= 1)."""
+def _antisymmetric_with_tol(gamma: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``gamma`` as a float array, checked square and antisymmetric to its tolerance."""
     gamma = np.asarray(gamma, dtype=float)
-    tol = default_tol(gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError("covariance matrix must be square")
+    tol = default_tol(gamma)
     if np.abs(gamma + gamma.T).max() > tol:
         raise ValueError("covariance matrix is not antisymmetric")
+    return gamma, tol
+
+
+def check_covariance(gamma: np.ndarray) -> np.ndarray:
+    """Validate a covariance matrix (real, antisymmetric, (i Gamma)^2 <= 1).
+
+    Both checks use ``tol = default_tol(Gamma)``.  For antisymmetric Gamma,
+    ``(i Gamma)^2 = -Gamma^2 = Gamma^T Gamma``, which is positive semidefinite
+    by construction, so the lower bound ``(i Gamma)^2 >= 0`` holds without a
+    test.  The upper bound ``Gamma^T Gamma <= (1 + tol) I`` is proved by one
+    Cholesky factorization of ``(1 + tol) I - Gamma^T Gamma``; the offending
+    eigenvalue is computed only when it fails.
+    """
+    gamma, tol = _antisymmetric_with_tol(gamma)
     if gamma.size:
-        w = np.linalg.eigvalsh(-(gamma @ gamma))   # (i Gamma)^2 = -Gamma^2
-        if w.min() < -tol or w.max() > 1 + tol:
-            raise ValueError("eigenvalues of (i*Gamma)^2 outside [0, 1]")
+        gram = gamma.T @ gamma
+        slack = -gram
+        slack.flat[:: gamma.shape[0] + 1] += 1.0 + tol
+        if not _is_positive_definite(slack):
+            w = np.linalg.eigvalsh(gram)[-1]
+            raise ValueError(
+                f"eigenvalues of (i*Gamma)^2 outside [0, 1]: largest {w:.17g}, tol {tol:.6g}"
+            )
     return gamma
 
 
@@ -263,14 +303,27 @@ class PuritySpectrum:
 def purity_spectrum(gamma: np.ndarray) -> PuritySpectrum:
     """Purity spectrum of a covariance matrix.
 
-    The ``2N`` eigenvalues of ``(i Gamma)^2`` are doubly degenerate; the N
-    distinct-by-pairing values are extracted from the canonical antisymmetric
-    Schur form and reported sorted ascending, clipped to ``[0, 1]`` within
-    tolerance.
+    The ``2N`` eigenvalues of ``(i Gamma)^2`` are the squared singular values
+    of Gamma, which come in degenerate pairs ``eps_n``.  One ``svdvals``
+    yields them; every second ascending value gives the N purities
+    ``eps_n^2``, and the largest is checked against ``1 + tol`` as in
+    :func:`check_covariance`.  The values are clipped to ``[0, 1]``.
+
+    Singular values are taken rather than the eigenvalues of ``-Gamma^2``.
+    ``eigvalsh(-Gamma^2)`` has an absolute error of about machine epsilon in
+    ``eps^2`` itself, so a quasi-zero purity near 1e-14 (the vortex modes)
+    comes out wrong in its first digit.  The SVD has that error in ``eps``,
+    so ``eps^2`` keeps its relative accuracy and agrees with the real Schur
+    form of :func:`pair_gamma_eigenvalues`, at a third of its cost.
     """
-    gamma = check_covariance(gamma)
-    eps, _ = pair_gamma_eigenvalues(gamma)
-    return PuritySpectrum(np.clip(eps**2, 0.0, 1.0))
+    gamma, tol = _antisymmetric_with_tol(gamma)
+    sigma = np.sort(svdvals(gamma))
+    if sigma[-1] ** 2 > 1.0 + tol:
+        raise ValueError(
+            f"eigenvalues of (i*Gamma)^2 outside [0, 1]: largest {sigma[-1] ** 2:.17g}, "
+            f"tol {tol:.6g}"
+        )
+    return PuritySpectrum(np.clip(sigma[0::2] ** 2, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

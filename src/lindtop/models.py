@@ -366,8 +366,10 @@ def smallest_damping_rates(real: FiniteRealization, k: int = 6) -> np.ndarray:
     if n <= 512:
         return np.sort(np.clip(np.linalg.eigvalsh(X.toarray()), 0, None))[:k]
     # Shift slightly negative so the factorization is definite even when X
-    # has an exact kernel.
-    w = sp.linalg.eigsh(X, k=k, sigma=-1e-8, which="LM", return_eigenvectors=False)
+    # has an exact kernel.  A seeded random start vector makes the result
+    # repeatable; a constant one could be orthogonal to a mode by symmetry.
+    v0 = np.random.default_rng(0).standard_normal(n)
+    w = sp.linalg.eigsh(X, k=k, sigma=-1e-8, which="LM", v0=v0, return_eigenvectors=False)
     return np.sort(np.clip(w, 0.0, None))
 
 

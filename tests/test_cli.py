@@ -192,6 +192,15 @@ def test_vortex_small_lattice():
     assert float(rows[0][1]) < 1e-4 and float(rows[1][1]) < 1e-4
 
 
+def test_vortex_sparse_path_is_deterministic():
+    # 17x17 has 578 Majoranas, above the dense limit of smallest_damping_rates.
+    args = ("vortex", "--model", "cross2d", "--beta", "2", "--lattice", "17x17",
+            "--separation", "8")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert first.stdout == second.stdout
+
+
 def test_vortex_center_outside_lattice_exits_2():
     res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
                   "--lattice", "10x10", "--separation", "30")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindtop.majorana import (
+    Dissipator,
     MajoranaIndexing,
     anticommutator_table,
     build_dissipator,
+    check_covariance,
     default_tol,
     dirac_from_nambu,
     nambu_from_dirac,
@@ -16,7 +18,7 @@ from lindtop.majorana import (
     purity_spectrum,
 )
 from lindtop.dynamics import steady_state
-from lindtop.models import kitaev_wire, zigzag_competing
+from lindtop.models import VortexConfig, cross_2d, kitaev_wire, zigzag_competing
 
 from conftest import random_anticommuting_family, random_generic_family
 
@@ -138,3 +140,90 @@ def test_default_tol_brackets_spectral_norm(seed, n, parity, log_scale):
 def test_build_dissipator_validates_input():
     with pytest.raises(ValueError):
         build_dissipator([np.array([1.0, 0.0, 0.0])])  # odd length
+
+
+def _covariance(seed, eps):
+    """``Q (+)_n eps_n J Q^T`` for a random orthogonal Q, exactly antisymmetric."""
+    n = 2 * len(eps)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    core = np.zeros((n, n))
+    core[0::2, 1::2] = np.diag(eps)
+    gamma = Q @ (core - core.T) @ Q.T
+    return 0.5 * (gamma - gamma.T)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_dissipator_psd_margin(factor, accepted):
+    # X with smallest eigenvalue -factor * tol: inside the tolerance it is
+    # accepted, outside it is rejected, as an eigenvalue test would decide.
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+    lam = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
+    Y = np.zeros((8, 8))
+    tol = default_tol(Q @ np.diag(lam) @ Q.T, Y)
+    lam[0] = -factor * tol
+    X = Q @ np.diag(lam) @ Q.T
+    X = 0.5 * (X + X.T)
+    assert default_tol(X, Y) == pytest.approx(tol, rel=1e-9)
+    if accepted:
+        Dissipator(X, Y)
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            Dissipator(X, Y)
+
+
+@pytest.mark.parametrize("validate", [check_covariance, purity_spectrum])
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_covariance_upper_bound_margin(validate, factor, accepted):
+    # Largest eigenvalue of (i Gamma)^2 at 1 + factor * tol.
+    eps = np.array([1.0, 0.9, 0.5, 0.0])
+    tol = default_tol(_covariance(4, eps))
+    eps[0] = np.sqrt(1.0 + factor * tol)
+    gamma = _covariance(4, eps)
+    assert default_tol(gamma) == pytest.approx(tol, rel=1e-9)
+    if accepted:
+        validate(gamma)
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            validate(gamma)
+
+
+@pytest.mark.parametrize("validate", [check_covariance, purity_spectrum])
+def test_covariance_antisymmetry_defect_rejected(validate):
+    gamma = _covariance(5, np.array([1.0, 0.9, 0.5, 0.0]))
+    defect = 2.0 * default_tol(gamma)
+    gamma[0, 1] += defect
+    gamma[1, 0] += defect
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        validate(gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 32), st.booleans())
+def test_purity_spectrum_matches_schur(seed, modes, pure):
+    # Singular values and the real Schur form are independent routes to eps.
+    rng = np.random.default_rng(seed)
+    if pure:
+        eps = np.ones(modes)
+    else:
+        eps = rng.uniform(0.0, 1.0, modes)
+        eps[rng.random(modes) < 0.25] = 0.0
+    gamma = _covariance(seed, eps)
+    schur_eps, _ = pair_gamma_eigenvalues(gamma)
+    values = purity_spectrum(gamma).values
+    assert np.allclose(values, schur_eps**2, rtol=0.0, atol=1e-12)
+    assert np.allclose(values, np.sort(eps**2), rtol=0.0, atol=1e-12)
+
+
+def test_vortex_pair_quasi_zero_purities_match_schur():
+    # 21x21 cross model with two vortices 10 sites apart: the two smallest
+    # purities (about 1e-14 and 4e-11) must keep their relative accuracy.
+    L, sep = 21, 10.0
+    c = (L - 1) / 2.0
+    cores = [VortexConfig((c - sep / 2.0, c), 1), VortexConfig((c + sep / 2.0, c), 1)]
+    fr = cross_2d(2.0).finite_realization((L, L), boundary="open", placement="truncated",
+                                          vortices=cores)
+    gamma = steady_state(build_dissipator(fr.operators, num_majoranas=2 * L * L)).gamma
+    values = purity_spectrum(gamma).values[:2]
+    schur_eps, _ = pair_gamma_eigenvalues(gamma)
+    assert np.all(values < 1e-8)
+    assert np.allclose(values, schur_eps[:2] ** 2, rtol=1e-6, atol=0.0)
