@@ -44,6 +44,8 @@ __all__ = [
     "windings_around_u_zeros",
     "find_symmetry_center",
     "GapClosedError",
+    "SymmetryClass",
+    "UZeroWinding",
 ]
 
 _SIGMA = np.array(
@@ -59,6 +61,16 @@ _SIGMA = np.array(
 #: stencil (finite realizations and momentum sectors alike), fixing the rate
 #: unit so that damping spectra match the standard closed forms.
 RATE_SCALE = 2.0
+
+# Largest |u_r + u_mirror| or |v_r - v_mirror| of a pure-capable stencil.
+_MIRROR_TOL = 1e-12
+# Largest |a.n(k)| of a chiral axis a, in classification and winding alike.
+_CHIRAL_TOL = 1e-8
+# Grid of the chiral-axis test in classify_symmetry, per dimension.
+_CLASS_NK = {1: 128, 2: 48}
+# _confirm_u_zero: refinement levels, subgrid points per axis, and the
+# fraction of max |u| below which |u| counts as a zero.
+_ZERO_LEVELS, _ZERO_SUBGRID, _ZERO_REL_TOL = 4, 9, 1e-2
 
 
 class GapClosedError(ValueError):
@@ -125,7 +137,7 @@ class BlochStencil:
         k = _as_kvec(k, self.dim)
         return self._phases(k) @ np.array(self.v)
 
-    def is_pure_capable(self, tol: float = 1e-12) -> bool:
+    def is_pure_capable(self) -> bool:
         """True when u is odd and v even about a symmetry center."""
         center = self.center if self.center is not None else find_symmetry_center(self)
         if center is None:
@@ -136,7 +148,7 @@ class BlochStencil:
             j = table.get(mirror)
             uj = self.u[j] if j is not None else 0.0
             vj = self.v[j] if j is not None else 0.0
-            if abs(self.u[i] + uj) > tol or abs(self.v[i] - vj) > tol:
+            if abs(self.u[i] + uj) > _MIRROR_TOL or abs(self.v[i] - vj) > _MIRROR_TOL:
                 return False
         return True
 
@@ -154,11 +166,7 @@ def find_symmetry_center(stencil: BlochStencil) -> Optional[Tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class BlochSymbol:
-    """Momentum symbol ``k -> (u_k, v_k)`` with the derived BdG quantities.
-
-    ``xi(k) = |u|^2 - |v|^2``, ``delta(k) = 2 conj(u) v`` and the damping
-    normalization ``N(k) = sqrt(|u|^2 + |v|^2)``.
-    """
+    """Momentum symbol ``k -> (u_k, v_k)``."""
 
     dim: int
     u: Callable[[np.ndarray], np.ndarray]
@@ -167,15 +175,6 @@ class BlochSymbol:
     @classmethod
     def from_stencil(cls, stencil: BlochStencil) -> "BlochSymbol":
         return cls(stencil.dim, stencil.u_symbol, stencil.v_symbol)
-
-    def xi(self, k) -> np.ndarray:
-        return np.abs(self.u(k)) ** 2 - np.abs(self.v(k)) ** 2
-
-    def delta(self, k) -> np.ndarray:
-        return 2.0 * np.conj(self.u(k)) * self.v(k)
-
-    def rate(self, k) -> np.ndarray:
-        return np.sqrt(np.abs(self.u(k)) ** 2 + np.abs(self.v(k)) ** 2)
 
 
 Families = Union[BlochStencil, Sequence[Tuple[float, BlochStencil]]]
@@ -349,43 +348,31 @@ def sector_rates(model: Families, ks: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SymmetryClass:
     label: str                       # "BDI" or "D"
-    particle_hole: np.ndarray        # U_C witness (sigma_x)
-    time_reversal: Optional[np.ndarray]  # U_T witness when present
     chiral_axis: Optional[np.ndarray] = None  # axis orthogonal to n(k) (BDI)
 
 
-def classify_symmetry(stencil: BlochStencil, nk: int = 256, tol: float = 1e-8) -> SymmetryClass:
+def classify_symmetry(stencil: BlochStencil) -> SymmetryClass:
     """Altland-Zirnbauer class of the steady state: BDI or D.
 
-    Particle-hole symmetry is structural (witness sigma_x).  Time reversal is
-    detected in two stages: the gap function ``delta(k) = 2 conj(u_k) v_k``
-    real up to one global phase is sufficient, but depends on the gauge of the
-    jump operators.  When that test fails, the gauge-independent criterion is
-    used instead: the flattened steady-state field n(k) is confined to a plane
-    (a chiral axis exists), which combined with particle-hole symmetry yields
-    an effective time reversal.  Only when both tests fail is the class D.
+    Particle-hole symmetry is structural.  Time reversal is detected through
+    the density matrix, independently of the gauge of the jump operators:
+    the flattened steady-state field n(k) confined to a plane (a chiral axis
+    exists) combines with particle-hole symmetry into an effective time
+    reversal, giving BDI; otherwise the class is D.
+
+    Raises
+    ------
+    GapClosedError
+        If the sector damping gap or the purity gap closes on the grid, where
+        the steady state, and with it the class, is undefined.
     """
-    sym = BlochSymbol.from_stencil(stencil)
-    ks = bz_grid(nk, stencil.dim, offset=0.5)
-    delta = sym.delta(ks).reshape(-1)
-    mag = np.abs(delta)
-    if mag.max() <= tol:
-        # No pairing at all: trivially real -> time reversal present.
-        return SymmetryClass("BDI", _SIGMA[0].copy(), np.eye(2, dtype=complex))
-    phase = delta[np.argmax(mag)] / mag.max()
-    rotated = delta / phase
-    if np.abs(rotated.imag).max() <= tol * mag.max():
-        return SymmetryClass("BDI", _SIGMA[0].copy(), np.eye(2, dtype=complex))
-    # Gauge-independent fallback: look for a chiral axis of n(k).
-    nk_state = min(nk, 128) if stencil.dim == 1 else min(nk, 48)
-    state = momentum_state(stencil, bz_grid(nk_state, stencil.dim, offset=0.5))
+    ks = bz_grid(_CLASS_NK[stencil.dim], stencil.dim, offset=0.5)
+    n = flatten(momentum_state(stencil, ks)).n
     try:
-        axis, _, _ = _chiral_frame(flatten(state).n.reshape(-1, 3), tol=1e-6)
+        axis, _, _ = _chiral_frame(n)
     except ValueError:
-        return SymmetryClass("D", _SIGMA[0].copy(), None)
-    # Chiral operator a.sigma; effective time reversal = chiral o particle-hole.
-    u_s = np.einsum("i,ijk->jk", axis, _SIGMA)
-    return SymmetryClass("BDI", _SIGMA[0].copy(), u_s @ _SIGMA[0], axis)
+        return SymmetryClass("D")
+    return SymmetryClass("BDI", axis)
 
 
 @dataclass(frozen=True)
@@ -399,11 +386,6 @@ class FlattenedState:
     @property
     def purity_gap(self) -> float:
         return float((self.eps**2).min())
-
-    def projector(self, index) -> np.ndarray:
-        """P(k) = (1 + n(k).sigma)/2 at a grid index."""
-        nvec = self.n[index]
-        return 0.5 * (np.eye(2, dtype=complex) + np.einsum("i,ijk->jk", nvec, _SIGMA))
 
 
 def flatten(state: MomentumState, tol: float = 1e-8) -> FlattenedState:
@@ -438,7 +420,7 @@ def flattened_from_n(ks: np.ndarray, n: np.ndarray) -> FlattenedState:
     return FlattenedState(np.asarray(ks), n / eps[..., None], eps)
 
 
-def _chiral_frame(n_field: np.ndarray, tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chiral_frame(n_field: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chiral axis a (orthogonal to every n(k)) and a right-handed frame.
 
     The axis sign is fixed deterministically: first nonzero component
@@ -449,9 +431,10 @@ def _chiral_frame(n_field: np.ndarray, tol: float = 1e-8) -> Tuple[np.ndarray, n
     _, s, Vh = np.linalg.svd(pts, full_matrices=True)
     a = Vh[-1]
     worst = np.abs(pts @ a).max()
-    if worst > tol:
+    if worst > _CHIRAL_TOL:
         raise ValueError(
-            f"no chiral axis: max |a.n(k)| = {worst:.3e} > {tol}; state is not chiral (class D?)"
+            f"no chiral axis: max |a.n(k)| = {worst:.3e} > {_CHIRAL_TOL}; "
+            "state is not chiral (class D?)"
         )
     for comp in a:
         if abs(comp) > 1e-12:
@@ -465,7 +448,7 @@ def _chiral_frame(n_field: np.ndarray, tol: float = 1e-8) -> Tuple[np.ndarray, n
     return a, b1, b2
 
 
-def winding_number(flat: FlattenedState, chiral_axis: Optional[np.ndarray] = None) -> int:
+def winding_number(flat: FlattenedState) -> int:
     """Integer winding of the planar angle of n(k) around the 1D BZ.
 
     ``theta(k) = atan2(n.b1, n.b2)`` in the right-handed frame of the chiral
@@ -475,17 +458,7 @@ def winding_number(flat: FlattenedState, chiral_axis: Optional[np.ndarray] = Non
     n = flat.n
     if n.ndim != 2:
         raise ValueError("winding_number requires a 1D k-grid")
-    if chiral_axis is not None:
-        a = np.asarray(chiral_axis, float)
-        a = a / np.linalg.norm(a)
-        if np.abs(n @ a).max() > 1e-8:
-            raise ValueError("supplied chiral axis is not orthogonal to n(k)")
-        e = np.eye(3)[int(np.argmin(np.abs(a)))]
-        b1 = e - (e @ a) * a
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(a, b1)
-    else:
-        _, b1, b2 = _chiral_frame(n)
+    _, b1, b2 = _chiral_frame(n)
     theta = np.arctan2(n @ b1, n @ b2)
     d = np.diff(np.concatenate([theta, theta[:1]]))
     d = np.mod(d + np.pi, 2 * np.pi) - np.pi
@@ -593,14 +566,12 @@ def windings_around_u_zeros(
     return zeros, int(sum(z.winding for z in zeros))
 
 
-def _confirm_u_zero(
-    ufun, center, half: float, scale: float,
-    levels: int = 4, m: int = 9, rel_tol: float = 1e-2,
-) -> bool:
+def _confirm_u_zero(ufun, center, half: float, scale: float) -> bool:
     """Confirm that |u| collapses to ~0 inside a plaquette by refinement."""
     cx, cy = center
+    m = _ZERO_SUBGRID
     best = np.inf
-    for _ in range(levels):
+    for _ in range(_ZERO_LEVELS):
         gx = np.linspace(cx - half, cx + half, m)
         gy = np.linspace(cy - half, cy + half, m)
         pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1)
@@ -609,4 +580,4 @@ def _confirm_u_zero(
         best = min(best, float(vals[i, j]))
         cx, cy = float(gx[i]), float(gy[j])
         half = 2.0 * half / (m - 1)   # shrink to one subgrid spacing
-    return best <= rel_tol * scale
+    return best <= _ZERO_REL_TOL * scale

@@ -31,7 +31,12 @@ __all__ = [
     "adiabatic_evolve",
     "braid_matrix",
     "braid_via_schedule",
+    "BraidReport",
 ]
+
+# adiabatic_evolve aborts when the damping gap above the tracked block falls
+# below this value.
+_GAP_MIN = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,6 @@ def adiabatic_evolve(
     schedule: AdiabaticSchedule,
     gamma0: np.ndarray,
     block_dim: int = 0,
-    gap_min: float = 0.0,
 ) -> AdiabaticResult:
     """Integrate the slow-parameter flow by Strang splitting.
 
@@ -177,7 +181,7 @@ def adiabatic_evolve(
     paths, where the final subspace coincides with the initial one).
 
     Aborts with ``ValueError`` naming s when the damping gap above the
-    tracked block falls below ``gap_min``.
+    tracked block falls below 0.
     """
     gamma = np.asarray(gamma0, float).copy()
     dt = schedule.total_time / schedule.steps
@@ -202,9 +206,9 @@ def adiabatic_evolve(
         if track:
             Qn, gap = _kernel_frame(eig, block_dim)
             min_gap = min(min_gap, gap)
-            if gap < gap_min:
+            if gap < _GAP_MIN:
                 raise ValueError(
-                    f"damping gap {gap:.3e} below {gap_min} at s = {s_mid:.4f}; "
+                    f"damping gap {gap:.3e} below {_GAP_MIN} at s = {s_mid:.4f}; "
                     "path crosses a closing gap"
                 )
             Q = _align(Q, Qn)
@@ -275,7 +279,6 @@ def braid_via_schedule(
     schedule: AdiabaticSchedule,
     gamma0: np.ndarray,
     block_dim: int = 2,
-    gap_min: float = 0.0,
 ) -> BraidReport:
     """Run an exchange schedule and compare the holonomy to ``B_12``.
 
@@ -285,7 +288,7 @@ def braid_via_schedule(
     residual gauge (overall orientation of the exchange): the reported error
     is ``min(|W - B|, |W - B^T|)``.
     """
-    res = adiabatic_evolve(schedule, gamma0, block_dim=block_dim, gap_min=gap_min)
+    res = adiabatic_evolve(schedule, gamma0, block_dim=block_dim)
     B = braid_matrix((0, 1), block_dim)
     W = res.holonomy
     err = min(

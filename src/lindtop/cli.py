@@ -131,6 +131,23 @@ def _config_hash(cfg: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _json_value(x):
+    """``x`` as strict JSON data, converting lists and dicts entry by entry.
+
+    JSON (RFC 8259) has no NaN or infinity, so a non-finite float becomes
+    None (null); NumPy scalars become Python numbers.
+    """
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, np.integer):
+        return int(x)
+    return x
+
+
 def _write_table(
     out: Optional[str],
     fmt: str,
@@ -146,8 +163,8 @@ def _write_table(
         "config_hash": _config_hash(cfg),
         "columns": list(columns),
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    extra_meta = _json_value(extra_meta or {})
+    meta.update(extra_meta)
 
     def fmt_cell(x) -> str:
         if isinstance(x, (float, np.floating)):
@@ -168,26 +185,14 @@ def _write_table(
                 for key in ("tool", "version", "config_hash"):
                     fh.write(f"# {key}: {meta[key]}\n")
                 fh.write(f"# config: {json.dumps(cfg, sort_keys=True, default=str)}\n")
-                for key, value in (extra_meta or {}).items():
+                for key, value in extra_meta.items():
                     fh.write(f"# {key}: {json.dumps(value, default=str)}\n")
                 fh.write(f"# columns: {', '.join(columns)}\n")
                 fh.write(",".join(columns) + "\n")
                 for row in rows:
                     fh.write(",".join(fmt_cell(c) for c in row) + "\n")
             else:
-                def js_cell(c):
-                    if isinstance(c, (float, np.floating)):
-                        c = float(c)
-                        return None if math.isnan(c) else c
-                    if isinstance(c, np.integer):
-                        return int(c)
-                    return c
-
-                payload = {
-                    "meta": meta,
-                    "columns": list(columns),
-                    "rows": [[js_cell(c) for c in row] for row in rows],
-                }
+                payload = {"meta": meta, "columns": list(columns), "rows": _json_value(rows)}
                 json.dump(payload, fh, indent=2, sort_keys=True, default=str)
                 fh.write("\n")
         finally:
@@ -468,6 +473,8 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
         raise ConfigError("vortex analysis needs a 2D model")
     ext = _parse_lattice(lattice, 2)
     if separations:
+        if ext[0] != ext[1]:
+            raise ConfigError(f"--separations needs a square lattice, got {lattice!r}")
         try:
             ds = [float(v) for v in separations.split(",") if v.strip()]
         except ValueError:

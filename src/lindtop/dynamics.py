@@ -40,6 +40,15 @@ __all__ = [
     "block_decoupling_check",
 ]
 
+# mode_census_and_bulk_edge_check: the share of a mode's weight inside the
+# edge window that makes it an edge mode, and the purity eps^2 counted as 0.
+_EDGE_WEIGHT = 0.9
+_ZERO_PURITY = 1e-6
+# block_decoupling_check: sample times of the flow and the largest drift of
+# the conserved block Gamma_pp.
+_DECOUPLING_TIMES = np.linspace(0.0, 20.0, 9)[1:]
+_DRIFT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DampingSpectrum:
@@ -193,17 +202,12 @@ def zero_damping_modes(
 
 @dataclass(frozen=True)
 class ModeCensus:
-    """Counts of decoherence-free and completely mixed modes.
-
-    ``localization`` holds a fitted decay length per zero-damping mode, or
-    the string ``"delocalized"``.
-    """
+    """Counts of decoherence-free and completely mixed modes."""
 
     zero_damping_count: int
     zero_damping_edge_count: int
     zero_purity_count: int
     zero_purity_edge_count: int
-    localization: List[object]
 
 
 def _edge_weight(vec: np.ndarray, window: np.ndarray) -> float:
@@ -213,33 +217,12 @@ def _edge_weight(vec: np.ndarray, window: np.ndarray) -> float:
     return float(np.sum(vec[w] ** 2) / total) if total > 0 else 0.0
 
 
-def _mode_localization(vec: np.ndarray) -> object:
-    """Crude per-mode decay-length estimate from site amplitudes.
-
-    Fits ``log |amplitude|`` against distance from the maximum-amplitude
-    site; returns "delocalized" when the profile is flat or the fit is poor.
-    """
-    amp = np.sqrt(vec[0::2] ** 2 + vec[1::2] ** 2)
-    peak = int(np.argmax(amp))
-    dist = np.abs(np.arange(amp.size) - peak)
-    mask = amp > amp.max() * 1e-8
-    if mask.sum() < 3:
-        return 0.0  # support on <3 sites: perfectly localized
-    x, y = dist[mask], np.log(amp[mask])
-    slope, _ = np.polyfit(x, y, 1)
-    if slope >= -1e-3:
-        return "delocalized"
-    return float(-1.0 / slope)
-
-
 def mode_census_and_bulk_edge_check(
     d: Dissipator,
     gamma: np.ndarray,
     nu_left: int,
     nu_right: int,
     edge_window: Sequence[int],
-    edge_weight_threshold: float = 0.9,
-    purity_tol: float = 1e-6,
 ) -> Tuple[ModeCensus, bool]:
     """Count zero-damping / zero-purity modes and test m_d + m_p >= |dnu|.
 
@@ -250,9 +233,8 @@ def mode_census_and_bulk_edge_check(
         Bulk invariants on the two sides of the interface under test.
     edge_window : sequence of int
         Majorana indices considered "edge"; a mode is edge-attributed when at
-        least ``edge_weight_threshold`` of its weight lies in the window.
-    purity_tol : float
-        Threshold below which a purity value counts as zero.
+        least 90% of its weight lies in the window.  A purity value
+        ``eps^2 <= 1e-6`` counts as zero.
 
     Returns
     -------
@@ -264,21 +246,20 @@ def mode_census_and_bulk_edge_check(
     window = np.asarray(list(edge_window), dtype=int)
     modes = zero_damping_modes(d)
     m_d = len(modes)
-    m_d_edge = sum(1 for v in modes if _edge_weight(v, window) >= edge_weight_threshold)
-    loc = [_mode_localization(v) for v in modes]
+    m_d_edge = sum(1 for v in modes if _edge_weight(v, window) >= _EDGE_WEIGHT)
 
     eps, planes = pair_gamma_eigenvalues(check_covariance(gamma))
-    zero_p = eps**2 <= purity_tol
+    zero_p = eps**2 <= _ZERO_PURITY
     m_p = int(zero_p.sum())
     m_p_edge = 0
     for b in np.nonzero(zero_p)[0]:
         plane_weight = 0.5 * (
             _edge_weight(planes[b, :, 0], window) + _edge_weight(planes[b, :, 1], window)
         )
-        if plane_weight >= edge_weight_threshold:
+        if plane_weight >= _EDGE_WEIGHT:
             m_p_edge += 1
 
-    census = ModeCensus(m_d, m_d_edge, m_p, m_p_edge, loc)
+    census = ModeCensus(m_d, m_d_edge, m_p, m_p_edge)
     holds = (m_d_edge + m_p_edge) >= abs(int(nu_left) - int(nu_right))
     return census, holds
 
@@ -298,15 +279,14 @@ def block_decoupling_check(
     d: Dissipator,
     lindblads: Sequence[np.ndarray],
     block: Sequence[int],
-    gamma0: Optional[np.ndarray] = None,
-    times: Optional[Sequence[float]] = None,
-    drift_tol: float = 1e-9,
 ) -> BlockDecouplingReport:
     """Check that a block untouched by every jump operator is conserved.
 
     If all operator vectors vanish on the index set ``p`` then ``Gamma_pp``
     is a constant of motion and the cross block ``Gamma_pq`` decays at least
-    as fast as the smallest damping rate of the complement.
+    as fast as the smallest damping rate of the complement.  Both are
+    checked along the flow of one seeded random covariance, at eight times
+    up to t = 20; ``Gamma_pp`` may drift by at most 1e-9.
 
     Parameters
     ----------
@@ -322,21 +302,17 @@ def block_decoupling_check(
     op_weight = float(np.abs(G[:, p]).max()) if G.size else 0.0
     pre_ok = op_weight <= 1e-12
 
+    # Random valid covariance: antisymmetric part of a random orthogonal
+    # conjugation of a direct sum of rotation generators, scaled inside
+    # the purity ball.
     rng = np.random.default_rng(7)
-    if gamma0 is None:
-        # Random valid covariance: antisymmetric part of a random orthogonal
-        # conjugation of a direct sum of rotation generators, scaled inside
-        # the purity ball.
-        R = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        base = np.zeros((n, n))
-        for b in range(n // 2):
-            base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
-            base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
-        gamma0 = R @ base @ R.T
-    gamma0 = check_covariance(gamma0)
+    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    base = np.zeros((n, n))
+    for b in range(n // 2):
+        base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
+        base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
+    gamma0 = check_covariance(R @ base @ R.T)
 
-    if times is None:
-        times = np.linspace(0.0, 20.0, 9)[1:]
     Xqq = d.X[np.ix_(q, q)]
     gap_q = float(np.linalg.eigvalsh(Xqq).min()) if q.size else 0.0
 
@@ -344,11 +320,11 @@ def block_decoupling_check(
     coher_ok = True
     pq0 = np.linalg.norm(gamma0[np.ix_(p, q)])
     eig = np.linalg.eigh(d.X)
-    for t in times:
+    for t in _DECOUPLING_TIMES:
         g = _evolve_in_basis(d, eig, gamma0, float(t))
         drift = max(drift, float(np.abs(g[np.ix_(p, p)] - gamma0[np.ix_(p, p)]).max()))
         bound = pq0 * np.exp(-gap_q * t) * (1 + 1e-8) + 1e-12
         if np.linalg.norm(g[np.ix_(p, q)]) > bound:
             coher_ok = False
-    passed = pre_ok and drift <= drift_tol and coher_ok
+    passed = pre_ok and drift <= _DRIFT_TOL and coher_ok
     return BlockDecouplingReport(pre_ok, op_weight, drift, coher_ok, passed)

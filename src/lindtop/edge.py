@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import linalg
@@ -54,6 +54,9 @@ _CANDIDATE_TOL = 1e-6
 # Relative smallest singular value below which a Sylvester matrix is singular.
 _SINGULAR_TOL = 1e-10
 _PROBES = (0.83 * cmath.exp(0.9j), 1.21 * cmath.exp(2.3j), cmath.exp(-1.7j))
+# fit_localization fits the log-profile down to this fraction of its peak,
+# which excludes the opposite-edge tail and rounding noise.
+_FIT_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,6 @@ class BetaSolution:
     @property
     def dim(self) -> int:
         return len(self.betas)
-
-    def normalizable(self, inward_signs: Sequence[int]) -> bool:
-        """True if |beta| < 1 along every declared inward direction.
-
-        ``inward_signs[n] = +1`` means the bulk lies towards increasing
-        coordinate n (mode sits at the low edge); ``-1`` the opposite.  A
-        direction with |beta| = 1 (periodic/cylinder) never obstructs.
-        """
-        for b, s in zip(self.betas, inward_signs):
-            mag = abs(b) if s >= 0 else 1.0 / abs(b)
-            if mag > 1.0 + 1e-12:
-                return False
-        return True
 
 
 def _xi(beta: float) -> float:
@@ -395,13 +385,12 @@ def fit_localization(
     vector: np.ndarray,
     extent,
     axis: int = 0,
-    floor: float = 1e-7,
 ) -> LocalizationFit:
     """Least-squares exponential decay length of a Majorana vector.
 
     Site amplitudes are summed in quadrature over the transverse directions;
     the log-profile is fitted linearly from the peak inward, stopping at
-    ``floor`` times the peak (to exclude the opposite-edge tail and noise).
+    1e-7 times the peak (to exclude the opposite-edge tail and noise).
     A near-flat profile is reported as delocalized.
     """
     ext = (int(extent),) if np.isscalar(extent) else tuple(int(e) for e in extent)
@@ -412,7 +401,7 @@ def fit_localization(
     inward = 1 if peak < len(profile) / 2 else -1
     xs, ys = [], []
     i = peak
-    while 0 <= i < len(profile) and profile[i] >= floor * profile[peak]:
+    while 0 <= i < len(profile) and profile[i] >= _FIT_FLOOR * profile[peak]:
         xs.append(abs(i - peak))
         ys.append(math.log(profile[i]))
         i += inward

@@ -52,6 +52,16 @@ def default_tol(*matrices: np.ndarray) -> float:
     return 1e-10 * max(scale, 1.0)
 
 
+def _check_finite(name: str, A: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``A`` holds a NaN or an infinity.
+
+    Runs before :func:`default_tol`: a NaN makes its ``max`` depend on the
+    argument order, and an infinity makes the tolerance itself infinite.
+    """
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} is not finite: it holds NaN or inf")
+
+
 def _is_positive_definite(A: np.ndarray) -> bool:
     """Whether one Cholesky factorization of the symmetric matrix ``A`` succeeds.
 
@@ -153,6 +163,8 @@ class Dissipator:
             raise ValueError("X and Y must be square matrices of equal shape")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        _check_finite("X", X)
+        _check_finite("Y", Y)
         tol = default_tol(X, Y)
         if np.abs(X - X.T).max() > tol:
             raise ValueError("X is not symmetric")
@@ -217,10 +229,11 @@ def anticommutator_table(lindblads: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _antisymmetric_with_tol(gamma: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``gamma`` as a float array, checked square and antisymmetric to its tolerance."""
+    """``gamma`` as a float array, checked square, finite and antisymmetric to its tolerance."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError("covariance matrix must be square")
+    _check_finite("covariance matrix", gamma)
     tol = default_tol(gamma)
     if np.abs(gamma + gamma.T).max() > tol:
         raise ValueError("covariance matrix is not antisymmetric")

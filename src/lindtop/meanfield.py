@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,19 +25,19 @@ __all__ = [
     "fluctuation_scaling",
 ]
 
+# solve_number_equation: BZ grid points per axis, and the relative width of
+# the final bisection bracket.
+_NUMBER_NK = 256
+_BISECT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MeanFieldSolution:
     """Fixed-phase linearization parameters at a target filling."""
 
     alpha_modulus: float
-    theta: float
     kappa0: float
     filling: float
-
-    @property
-    def alpha(self) -> complex:
-        return self.alpha_modulus * np.exp(1j * self.theta)
 
 
 def linearize(stencil: BlochStencil, alpha: complex) -> BlochStencil:
@@ -75,13 +75,7 @@ def _mode_weights(sym: BlochSymbol, ks: np.ndarray, r: float) -> Tuple[np.ndarra
     return (r * r * v2) / denom, denom
 
 
-def solve_number_equation(
-    symbol_or_stencil,
-    filling: float,
-    nk: int = 256,
-    theta: float = 0.0,
-    tol: float = 1e-10,
-) -> MeanFieldSolution:
+def solve_number_equation(symbol_or_stencil, filling: float) -> MeanFieldSolution:
     """Solve the number equation ``mean_k n_k(r) = filling`` for r >= 0.
 
     ``n_k = r^2 |v_k|^2 / (|u_k|^2 + r^2 |v_k|^2)`` is the filling of mode k
@@ -94,7 +88,7 @@ def solve_number_equation(
     if not 0.0 < filling < 1.0:
         raise ValueError("target filling must lie strictly between 0 and 1")
     sym = _symbol(symbol_or_stencil)
-    ks = bz_grid(nk, sym.dim, offset=0.5)
+    ks = bz_grid(_NUMBER_NK, sym.dim, offset=0.5)
     if float(np.abs(sym.v(ks)).max()) <= 1e-14:
         raise ValueError("creation symbol v vanishes identically; filling > 0 unattainable")
 
@@ -110,7 +104,7 @@ def solve_number_equation(
                 f"{n_of(1e12):.6f} (annihilation symbol has zeros of v underneath)"
             )
     r_lo = 0.0
-    while r_hi - r_lo > tol * max(1.0, r_hi):
+    while r_hi - r_lo > _BISECT_TOL * max(1.0, r_hi):
         mid = 0.5 * (r_lo + r_hi)
         if n_of(mid) < filling:
             r_lo = mid
@@ -119,7 +113,7 @@ def solve_number_equation(
     r = 0.5 * (r_lo + r_hi)
     nk_vals, denom = _mode_weights(sym, ks, r)
     kappa0 = float((np.abs(sym.u(ks)) ** 2 * r * r * np.abs(sym.v(ks)) ** 2 / denom**2).mean())
-    return MeanFieldSolution(r, float(theta), kappa0, float(nk_vals.mean()))
+    return MeanFieldSolution(r, kappa0, float(nk_vals.mean()))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ __all__ = [
     "cross_2d",
     "cylinder_reduce",
     "insert_vortices",
+    "smallest_damping_rates",
+    "SeparationSweep",
     "residual_damping_vs_separation",
 ]
 

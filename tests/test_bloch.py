@@ -239,6 +239,51 @@ def test_classify_symmetry():
     assert classify_symmetry(cross_2d(2.0).stencil).label == "D"
 
 
+def _delta_real_up_to_phase(stencil, nk=256, tol=1e-8):
+    """Reference of the gauge-dependent class test: delta(k) = 2 conj(u) v
+    real up to one global phase (or vanishing) implies BDI."""
+    ks = bz_grid(nk, 1, offset=0.5)
+    delta = 2.0 * np.conj(stencil.u_symbol(ks)) * stencil.v_symbol(ks)
+    mag = np.abs(delta)
+    if mag.max() <= tol:
+        return True
+    phase = delta[np.argmax(mag)] / mag.max()
+    return np.abs((delta / phase).imag).max() <= tol * mag.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.booleans())
+def test_delta_bdi_stencils_have_a_chiral_axis(seed, proportional):
+    # Random 1D stencils, half of them with v_r = lambda u_r up to global
+    # phases of u and v, so that delta(k) is real up to one phase.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    offsets = tuple((int(o),) for o in rng.choice(np.arange(-2, 3), size=m, replace=False))
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if proportional:
+        v = rng.standard_normal() * np.exp(1j * rng.uniform(0, 2 * np.pi)) * u
+    st = BlochStencil(1, offsets, tuple(u), tuple(v))
+    assume(_delta_real_up_to_phase(st))
+    try:
+        sc = classify_symmetry(st)
+    except GapClosedError:
+        assume(False)
+    assert sc.label == "BDI"
+    n = flatten(momentum_state(st, bz_grid(128, 1, offset=0.5))).n
+    assert np.abs(n @ sc.chiral_axis).max() <= 1e-8
+
+
+def test_classify_symmetry_raises_where_damping_gap_closes():
+    # u = v makes L_{-k} proportional to the adjoint of L_k, so each sector
+    # damps only two of its four Majoranas and the steady state is not unique.
+    st = BlochStencil(1, ((0,), (1,)), u=(1, 1), v=(1, 1))
+    with pytest.raises(GapClosedError):
+        momentum_state(st, bz_grid(128, 1, offset=0.5))
+    with pytest.raises(GapClosedError):
+        classify_symmetry(st)
+
+
 def test_cross_chern_and_u_zeros():
     ks = bz_grid(48, 2, offset=0.5)
     for beta in (1.0, 3.0):

@@ -212,6 +212,46 @@ def test_vortex_center_outside_lattice_exits_2():
     assert "outside lattice" in res.output
 
 
+def test_vortex_separations_needs_square_lattice():
+    # The separation sweep runs on an L x L lattice only.
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "3",
+                  "--lattice", "21x15", "--separations", "4,6")
+    assert res.exit_code == 2
+    assert "square lattice" in res.output
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_vortex_undefined_fit_is_null():
+    # Two separations are too few for the decay fit, so its slope and r^2
+    # are undefined; both formats write null, never NaN.
+    args = ("vortex", "--model", "cross2d", "--beta", "3", "--lattice", "9x9",
+            "--separations", "2,4")
+    res = run_cli(*args, "--format", "json")
+    assert res.exit_code == 0
+    meta = json.loads(res.stdout, parse_constant=_reject_constant)["meta"]
+    assert meta["fit_slope"] is None and meta["fit_r2"] is None
+    res = run_cli(*args)
+    assert res.exit_code == 0
+    meta, _, rows = parse_csv(res.stdout)
+    assert meta["fit_slope"] == "null" and meta["fit_r2"] == "null"
+    assert len(rows) == 2
+
+
+def test_json_rows_write_infinity_as_null():
+    # At kappa = 2 the three-site wire has an edge root beta = -1, whose decay
+    # lengths are infinite: null in JSON, inf in CSV.
+    args = ("edge-modes", "--model", "three_site", "--kappa", "2", "--lattice", "20")
+    res = run_cli(*args, "--format", "json")
+    assert res.exit_code == 0
+    rows = json.loads(res.stdout, parse_constant=_reject_constant)["rows"]
+    assert rows and all(r[2] is None and r[3] is None for r in rows)
+    _, _, rows = parse_csv(run_cli(*args).stdout)
+    assert rows and all(r[2] == "inf" and r[3] == "inf" for r in rows)
+
+
 def test_braid_exchange_circle_outside_lattice_exits_2():
     res = run_cli("braid", "--model", "cross2d", "--beta", "2",
                   "--lattice", "8x8", "--separation", "9", "--times", "2")

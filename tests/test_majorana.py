@@ -152,6 +152,27 @@ def _covariance(seed, eps):
     return 0.5 * (gamma - gamma.T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["X", "Y"])
+def test_dissipator_rejects_non_finite(which, bad):
+    X, Y = np.eye(2), np.zeros((2, 2))
+    if which == "X":
+        X[0, 1] = X[1, 0] = bad
+    else:
+        Y[0, 1], Y[1, 0] = bad, -bad
+    with pytest.raises(ValueError, match=f"{which} is not finite"):
+        Dissipator(X, Y)
+
+
+@pytest.mark.parametrize("validate", [check_covariance, purity_spectrum])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covariance_rejects_non_finite(validate, bad):
+    gamma = _covariance(5, np.array([1.0, 0.9, 0.5, 0.0]))
+    gamma[0, 1], gamma[1, 0] = bad, -bad
+    with pytest.raises(ValueError, match="covariance matrix is not finite"):
+        validate(gamma)
+
+
 @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
 def test_dissipator_psd_margin(factor, accepted):
     # X with smallest eigenvalue -factor * tol: inside the tolerance it is
