@@ -12,12 +12,14 @@ and couples only the mode pair ``(k, -k)``.  The steady state of a quadratic
 Lindbladian is Gaussian, so each pair sector is solved exactly by its 4x4
 real Majorana blocks: ``{X_k, Gamma_k} = Y_k`` in the eigenbasis of ``X_k``
 (Prosen, "Third quantization", New J. Phys. 10, 043026 (2008)).  One batched
-assembly and one batched solve serve :func:`sector_rates`,
+assembly (one phase table ``e^{-ik.r}`` per family and grid, whose conjugate
+gives the symbols at ``-k``) and one batched solve serve :func:`sector_rates`,
 :func:`bloch_blocks` and :func:`momentum_state`; the last maps ``Gamma_k`` to
 the 2x2 flavor-basis correlation matrix ``Gamma(k)`` (flavors
 ``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``) by one fixed linear map.  The
 flattened unit-vector field ``n(k)`` with ``i Gamma_bar(k) = n(k).sigma``
-feeds the winding-number and Chern-number invariants.
+feeds the winding-number and Chern-number invariants, and a thin SVD of its
+samples gives the chiral axis.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ __all__ = [
     "SymmetryClass",
     "UZeroWinding",
 ]
-
-_SIGMA = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
 
 #: Uniform amplitude rescaling applied to every jump operator built from a
 #: stencil (finite realizations and momentum sectors alike), fixing the rate
@@ -245,8 +238,12 @@ def _sector_dissipator(fams, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ls = []
     for w, st in fams:
         s = RATE_SCALE * np.sqrt(w)
-        up, vp = st.u_symbol(k), st.v_symbol(k)
-        um, vm = st.u_symbol(-k), st.v_symbol(-k)
+        u, v = np.array(st.u), np.array(st.v)
+        ph = st._phases(k)
+        up, vp = -(ph @ u), ph @ v
+        np.conjugate(ph, out=ph)   # the table of -k, as k is real
+        um, vm = -(ph @ u), ph @ v
+        del ph   # not held through the batched products below
         ls.append(s * np.stack([0.5j * vp, 0.5 * vp, 0.5j * up, -0.5 * up], axis=-1))
         ls.append(s * np.stack([0.5j * um, -0.5 * um, 0.5j * vm, 0.5 * vm], axis=-1))
     l = np.stack(ls, axis=-2)
@@ -398,7 +395,10 @@ def flatten(state: MomentumState, tol: float = 1e-8) -> FlattenedState:
         offending momentum.
     """
     G = 1j * state.gamma
-    n = 0.5 * np.real(np.einsum("...ij,lji->...l", G, _SIGMA))
+    # n_l = Re tr(G sigma_l) / 2; "+ 0.0" unsigns zeros, whose sign atan2 reads.
+    n = 0.5 * np.stack([(G[..., 0, 1] + G[..., 1, 0]).real,
+                        (G[..., 1, 0] - G[..., 0, 1]).imag,
+                        (G[..., 0, 0] - G[..., 1, 1]).real], axis=-1) + 0.0
     eps = np.linalg.norm(n, axis=-1)
     if eps.min() <= tol:
         flat_idx = int(np.argmin(eps))
@@ -428,8 +428,7 @@ def _chiral_frame(n_field: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     defined as theta = atan2(n.b1, n.b2).
     """
     pts = n_field.reshape(-1, 3)
-    _, s, Vh = np.linalg.svd(pts, full_matrices=True)
-    a = Vh[-1]
+    a = np.linalg.svd(pts, full_matrices=False)[2][-1]
     worst = np.abs(pts @ a).max()
     if worst > _CHIRAL_TOL:
         raise ValueError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -117,28 +117,28 @@ class AdiabaticResult:
 
 def vortex_exchange_path(model, lattice, separation: float,
                          core_scale: float) -> Callable[[float], Dissipator]:
-    """Memoized ``s -> Dissipator`` of two unit vortices exchanged by ``s = 1``.
+    """``s -> Dissipator`` of two unit vortices exchanged by ``s = 1``.
 
     At ``s`` the pair sits ``separation`` apart on a line through the centre
     of ``lattice = (W, H)`` rotated by ``pi s``; open boundary, truncated
-    placement.  Raises ``ValueError`` when that circle leaves the lattice.
+    placement.  Each call builds a fresh dissipator and keeps no reference to
+    it: a schedule asks for every ramp time once, so a memo would only hold
+    the whole path in memory.  Raises ``ValueError`` when that circle leaves
+    the lattice.
     """
     W, H = lattice
     cx, cy = (W - 1) / 2, (H - 1) / 2
     if abs(separation) / 2 > min(cx, cy):
         raise ValueError(f"exchange circle of separation {separation} leaves lattice {lattice}")
-    cache: Dict[float, Dissipator] = {}
 
     def diss_at(s: float) -> Dissipator:
-        if s not in cache:
-            dx = separation / 2 * math.cos(math.pi * s)
-            dy = separation / 2 * math.sin(math.pi * s)
-            vs = [VortexConfig((cx - dx, cy - dy), 1, core_scale=core_scale),
-                  VortexConfig((cx + dx, cy + dy), 1, core_scale=core_scale)]
-            fr = model.finite_realization(lattice, boundary="open", placement="truncated",
-                                          vortices=vs)
-            cache[s] = build_dissipator(fr.operators, num_majoranas=2 * W * H)
-        return cache[s]
+        dx = separation / 2 * math.cos(math.pi * s)
+        dy = separation / 2 * math.sin(math.pi * s)
+        vs = [VortexConfig((cx - dx, cy - dy), 1, core_scale=core_scale),
+              VortexConfig((cx + dx, cy + dy), 1, core_scale=core_scale)]
+        fr = model.finite_realization(lattice, boundary="open", placement="truncated",
+                                      vortices=vs)
+        return build_dissipator(fr.operators, num_majoranas=2 * W * H)
 
     return diss_at
 

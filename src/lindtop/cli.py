@@ -113,6 +113,8 @@ def _make_model(name: str, params: Dict[str, object]):
             kwargs[k] = float(v)
         except (TypeError, ValueError):
             raise ConfigError(f"parameter {k}={v!r} is not a number")
+        if not math.isfinite(kwargs[k]):
+            raise ConfigError(f"parameter {k}={v!r} is not finite")
     try:
         return ctor(**kwargs)
     except TypeError as exc:
@@ -272,6 +274,8 @@ def _parse_sweep(spec: str) -> Tuple[str, List[float]]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric sweep range {rng!r}")
+        if not all(math.isfinite(p) for p in (start, stop, step)):
+            raise ConfigError(f"non-finite sweep range {rng!r}")
         if step <= 0:
             raise ConfigError("sweep step must be > 0")
         n = int(round((stop - start) / step)) + 1

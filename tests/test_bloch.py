@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies
 
 from lindtop.bloch import (
+    _FLAVOR,
+    RATE_SCALE,
     BlochStencil,
     BlochSymbol,
     GapClosedError,
@@ -18,6 +20,8 @@ from lindtop.bloch import (
     sector_rates,
     winding_number,
     windings_around_u_zeros,
+    _chiral_frame,
+    _sector_steady,
 )
 from lindtop.dynamics import steady_state
 from lindtop.majorana import build_dissipator
@@ -335,3 +339,149 @@ def test_pip_reference_chern():
     KX, KY = np.meshgrid(ax, ax, indexing="ij")
     n = np.stack([np.sin(KX), -np.sin(KY), 1.0 - 2 * np.cos(KX) - 2 * np.cos(KY)], -1)
     assert abs(chern_number(flattened_from_n(np.stack([KX, KY], -1), n))) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference assembly: four symbol evaluations per family, the trace against
+# the Pauli matrices by einsum, and the chiral axis from a full SVD.  The
+# kernel computes the same arithmetic with less work, so results must agree
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+_SIGMA_REF = np.array([[[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, -1.0j], [1.0j, 0.0]],
+                       [[1.0, 0.0], [0.0, -1.0]]])
+
+
+def _reference_sector_dissipator(fams, k):
+    ls = []
+    for w, st in fams:
+        s = RATE_SCALE * np.sqrt(w)
+        up, vp = st.u_symbol(k), st.v_symbol(k)
+        um, vm = st.u_symbol(-k), st.v_symbol(-k)
+        ls.append(s * np.stack([0.5j * vp, 0.5 * vp, 0.5j * up, -0.5 * up], axis=-1))
+        ls.append(s * np.stack([0.5j * um, -0.5 * um, 0.5j * vm, 0.5 * vm], axis=-1))
+    l = np.stack(ls, axis=-2)
+    M = np.einsum("...ia,...ib->...ab", l.conj(), l)
+    return 2.0 * M.real, -4.0 * M.imag
+
+
+def _reference_gamma(fams, k):
+    X, Y = _reference_sector_dissipator(fams, k)
+    return np.einsum("la,...ab,mb->...lm", _FLAVOR, _sector_steady(X, Y, k), _FLAVOR.conj())
+
+
+def _reference_n(gamma):
+    n = 0.5 * np.real(np.einsum("...ij,lji->...l", 1j * gamma, _SIGMA_REF))
+    return n / np.linalg.norm(n, axis=-1)[..., None]
+
+
+def _reference_chiral_frame(n_field):
+    pts = n_field.reshape(-1, 3)
+    a = np.linalg.svd(pts, full_matrices=True)[2][-1]
+    if np.abs(pts @ a).max() > 1e-8:
+        return None
+    for comp in a:
+        if abs(comp) > 1e-12:
+            if comp < 0:
+                a = -a
+            break
+    e = np.eye(3)[int(np.argmin(np.abs(a)))]
+    b1 = e - (e @ a) * a
+    b1 /= np.linalg.norm(b1)
+    return a, b1, np.cross(a, b1)
+
+
+def _chiral_frame_or_none(n):
+    try:
+        return _chiral_frame(n)
+    except ValueError:
+        return None
+
+
+def _random_families(rng, dim):
+    """One or two families of random complex coefficients on random offsets.
+
+    Offsets and coefficients are unconstrained, so there is in general no
+    symmetry centre and u(-k) differs from +-u(k).
+    """
+    fams = []
+    for _ in range(int(rng.integers(1, 3))):
+        m = int(rng.integers(1, 5))
+        pool = list(np.ndindex(*(5,) * dim))
+        picks = rng.choice(len(pool), size=m, replace=False)
+        offsets = tuple(tuple(int(x) - 2 for x in pool[i]) for i in picks)
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        fams.append((float(rng.uniform(0.2, 2.0)), BlochStencil(dim, offsets, tuple(u), tuple(v))))
+    return fams
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.sampled_from([1, 2]),
+       strategies.sampled_from([0.0, 0.5]))
+def test_kernel_matches_reference_assembly_bitwise(seed, dim, offset):
+    rng = np.random.default_rng(seed)
+    fams = _random_families(rng, dim)
+    ks = bz_grid(int(rng.integers(6, 40 if dim == 1 else 13)), dim, offset=offset)
+    X, _ = _reference_sector_dissipator(fams, ks)
+    assert _same_bits(sector_rates(fams, ks), np.linalg.eigvalsh(X)[..., ::2])
+    try:
+        want = _reference_gamma(fams, ks)
+    except GapClosedError as exc:
+        with pytest.raises(GapClosedError) as err:
+            momentum_state(fams, ks)
+        assert str(err.value) == str(exc)
+        return
+    state = momentum_state(fams, ks)
+    assert _same_bits(state.gamma, want)
+    try:
+        n = flatten(state).n
+    except GapClosedError:
+        return
+    assert _same_bits(n, _reference_n(state.gamma))
+    if dim == 1:
+        got = _chiral_frame_or_none(n)
+        ref = _reference_chiral_frame(n)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert all(_same_bits(x, y) for x, y in zip(got, ref))
+
+
+@pytest.mark.parametrize("model, ks", [
+    (zigzag_competing(0.7), bz_grid(256, 1)),
+    (zigzag_competing(1.9), bz_grid(64, 1, offset=0.5)),
+    (zigzag_coherent(0.7), bz_grid(256, 1, offset=0.5)),
+    (cross_2d(5.0), bz_grid(16, 2)),
+])
+def test_flatten_matches_reference_on_zoo(model, ks):
+    # Each of these grids has points where n_z cancels exactly, so the sign
+    # of the zero is compared as well.
+    gamma = _reference_gamma(model.families, ks)
+    state = momentum_state(model, ks)
+    assert _same_bits(state.gamma, gamma)
+    assert _same_bits(flatten(state).n, _reference_n(gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.sampled_from([(256,), (48, 48)]),
+       strategies.booleans())
+def test_chiral_frame_matches_full_svd(seed, shape, planar):
+    # Unit vectors in a random plane (a chiral axis exists) or in general
+    # position (none does), on the grid shapes that classification and the
+    # benchmark sweep use.
+    rng = np.random.default_rng(seed)
+    n = rng.standard_normal(shape + (3,))
+    if planar:
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        n -= (n @ axis)[..., None] * axis
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    got, ref = _chiral_frame_or_none(n), _reference_chiral_frame(n)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert all(_same_bits(x, y) for x, y in zip(got, ref))

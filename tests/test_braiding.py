@@ -1,5 +1,8 @@
 """Braid algebra, vector potentials, and adiabatic transport."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -157,6 +160,22 @@ def test_exchange_holonomy_and_leakage(exchange_setup):
     assert leaks[1] < leaks[0]
     assert orth[1] < orth[0]
     assert rep.fidelity_error < 0.1
+
+
+def test_exchange_path_keeps_no_dissipator():
+    # A schedule asks for each ramp time once; the path must not hold on to
+    # what it built, or a long exchange keeps every dissipator alive.
+    from lindtop.models import cross_2d
+
+    diss_at = vortex_exchange_path(cross_2d(2.0), (8, 8), 4.0, 0.7)
+    first = diss_at(0.25)
+    ref = weakref.ref(first)
+    again = diss_at(0.25)
+    assert again is not first
+    assert np.array_equal(again.X, first.X) and np.array_equal(again.Y, first.Y)
+    del first, again
+    gc.collect()
+    assert ref() is None
 
 
 def test_exchange_path_rejects_circle_outside_lattice():

@@ -107,6 +107,20 @@ def test_unknown_parameter_exits_2():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--model", "three_site", "--kappa", "{}"),
+    ("invariant", "--model", "cross2d", "--task", "chern", "--beta", "{}"),
+    ("invariant", "--model", "three_site", "--param", "kappa={}"),
+    ("sweep", "--model", "three_site", "--sweep", "kappa=1,{}"),
+    ("sweep", "--model", "three_site", "--sweep", "kappa=0:{}:1"),
+])
+def test_non_finite_parameter_exits_2(args, value):
+    res = run_cli(*(a.format(value) for a in args))
+    assert res.exit_code == 2
+    assert "not finite" in res.output or "non-finite" in res.output
+
+
 def test_bad_sweep_exits_2():
     res = run_cli("sweep", "--model", "three_site", "--sweep", "kappa=0:4:-1")
     assert res.exit_code == 2
