@@ -9,21 +9,25 @@ symbol (with ``a_k = N^{-1/2} sum_n e^{-ik n} a_n``) is
 
 so the Fourier-transformed operator reads ``L_k = v(k) a_k^dag - u(k) a_{-k}``
 and couples only the mode pair ``(k, -k)``.  The steady state of a quadratic
-Lindbladian is Gaussian, so each pair sector is solved exactly by its 4x4
-real Majorana blocks: ``{X_k, Gamma_k} = Y_k`` in the eigenbasis of ``X_k``
-(Prosen, "Third quantization", New J. Phys. 10, 043026 (2008)).  One batched
-assembly (one phase table ``e^{-ik.r}`` per family and grid, whose conjugate
-gives the symbols at ``-k``) and one batched solve serve :func:`sector_rates`,
-:func:`bloch_blocks` and :func:`momentum_state`; the last maps ``Gamma_k`` to
-the 2x2 flavor-basis correlation matrix ``Gamma(k)`` (flavors
-``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``) by one fixed linear map.  The
-flattened unit-vector field ``n(k)`` with ``i Gamma_bar(k) = n(k).sigma``
-feeds the winding-number and Chern-number invariants, and a thin SVD of its
-samples gives the chiral axis.
+Lindbladian is Gaussian, and in the Nambu basis ``(a_k, a_{-k}^dag)`` each
+pair sector reduces exactly to Hermitian 2x2 blocks: the damping block A and
+the block D with ``{A, H} = D`` for the steady state H (the 4x4 real
+Majorana blocks of Prosen, "Third quantization", New J. Phys. 10, 043026
+(2008), are ``A (+) conj(A)`` and its partners up to one fixed unitary).
+One elementwise kernel (one phase table ``e^{-ik.r}`` per family and grid,
+which with the conjugate coefficients also gives the symbols at ``-k``)
+builds A and D.  Closed forms then give :func:`sector_rates` (the
+eigenvalues of A) and :func:`momentum_state` (H, written out as the 2x2
+flavor-basis correlation matrix ``Gamma(k)``, with flavors
+``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``); :func:`bloch_blocks` embeds the
+same blocks in the 4x4 Majorana basis.  The flattened unit-vector field
+``n(k)`` with ``i Gamma_bar(k) = n(k).sigma`` feeds the winding-number and
+Chern-number invariants, and a thin SVD of its samples gives the chiral axis.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -109,6 +113,8 @@ class BlochStencil:
         v = tuple(complex(x) for x in self.v)
         if not (len(offs) == len(u) == len(v)):
             raise ValueError("offsets, u, v must have equal length")
+        if not all(cmath.isfinite(x) for x in u + v):
+            raise ValueError("stencil coefficients u, v are not finite: they hold NaN or inf")
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -181,8 +187,9 @@ def _families(model: Families) -> List[Tuple[float, BlochStencil]]:
     fams = [(float(w), s) for (w, s) in model]
     if not fams:
         raise ValueError("empty family list")
-    if any(w < 0 for w, _ in fams):
-        raise ValueError("family weights must be nonnegative")
+    for w, _ in fams:
+        if not 0.0 <= w < np.inf:   # NaN fails both comparisons
+            raise ValueError(f"family prefactor w = {w!r} is not finite and nonnegative")
     dims = {s.dim for _, s in fams}
     if len(dims) != 1:
         raise ValueError("families must share the lattice dimension")
@@ -219,61 +226,83 @@ def bz_grid(nk: int, dim: int, offset: float = 0.0) -> np.ndarray:
 # Gaussian pair-sector kernel
 # ---------------------------------------------------------------------------
 
-#: Flavor operators ``c_{k,1} = a_k + a_{-k}^dag`` and
-#: ``c_{k,2} = i (a_{-k}^dag - a_k)`` as rows ``F`` over the sector Majoranas
-#: ``m_a`` (the interleaved pairs of ``a_k`` and ``a_{-k}``):
-#: ``c_{k,l} = sum_a F[l, a] m_a``, so that ``Gamma(k) = F Gamma_k F^dag``.
-_FLAVOR = 0.5 * np.array([[-1j, 1.0, 1j, 1.0], [-1.0, -1j, -1.0, 1j]])
+#: Unitary taking the Nambu blocks ``A (+) conj(A)`` of a sector to its real
+#: 4x4 Majorana block: ``X_k = U (A (+) conj(A)) U^dag``, likewise ``Y_k``
+#: from ``B = iD`` and ``Gamma_k`` from ``G = iH`` (see :func:`bloch_blocks`).
+_NAMBU_TO_MAJORANA = np.array([[1j, 0, -1j, 0], [1, 0, 1, 0],
+                               [0, -1j, 0, 1j], [0, 1, 0, 1]]) / np.sqrt(2.0)
 
 
-def _sector_dissipator(fams, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched 4x4 sector blocks ``(X_k, Y_k)`` for every k of ``k`` (..., dim).
+def _nambu_blocks(fams, k: np.ndarray):
+    """2x2 Nambu blocks ``A`` and ``D`` of every (k, -k) sector of ``k`` (..., dim).
 
-    The Majorana vectors ``l`` of ``L_k`` and ``L_{-k}`` of every family, with
-    amplitudes scaled by ``RATE_SCALE * sqrt(weight)``, give
-    ``M = sum conj(l) (x) l``, ``X_k = 2 Re M`` and ``Y_k = -4 Im M``.  ``L_k``
-    has Dirac coefficients ``(A, C) = ((0, -u(k)), (v(k), 0))`` on the modes
-    ``(a_k, a_{-k})`` and ``L_{-k}`` has ``((-u(-k), 0), (0, v(-k)))``.
+    In the Nambu basis ``psi = (a_k, a_{-k}^dag)`` the jump operators read
+    ``L_k = alpha . psi^dag`` with ``alpha = (v(k), -u(k))`` and
+    ``L_{-k} = beta . psi`` with ``beta = (-u(-k), v(-k))``.  With
+    ``P_g = sum 4w alpha alpha^H`` and ``P_l = sum 4w conj(beta) beta^T``
+    (``4 = RATE_SCALE**2``), the blocks are ``A = (P_l + P_g)/2`` and
+    ``D = P_l - P_g``.  Returns ``(a11, a22, a12, d11, d22, d12)``: the real
+    diagonals and the complex (0, 1) entries, each shaped ``k.shape[:-1]``.
+    One phase table ``e^{-ik.r}`` per family gives the symbols at k and,
+    read with the conjugate coefficients, the conjugate symbols at -k (for
+    real k the table of -k is the conjugate of the table of k).
     """
-    ls = []
+    sq = gain = loss = 0.0
     for w, st in fams:
-        s = RATE_SCALE * np.sqrt(w)
         u, v = np.array(st.u), np.array(st.v)
-        ph = st._phases(k)
-        up, vp = -(ph @ u), ph @ v
-        np.conjugate(ph, out=ph)   # the table of -k, as k is real
-        um, vm = -(ph @ u), ph @ v
-        del ph   # not held through the batched products below
-        ls.append(s * np.stack([0.5j * vp, 0.5 * vp, 0.5j * up, -0.5 * up], axis=-1))
-        ls.append(s * np.stack([0.5j * um, -0.5 * um, 0.5j * vm, 0.5 * vm], axis=-1))
-    l = np.stack(ls, axis=-2)
-    M = np.einsum("...ia,...ib->...ab", l.conj(), l)
-    return 2.0 * M.real, -4.0 * M.imag
+        coef = RATE_SCALE * np.sqrt(w) * np.stack([u, v, u.conj(), v.conj()], axis=-1)
+        sym = st._phases(k) @ coef   # -u(k), v(k), -conj(u(-k)), conj(v(-k)), scaled
+        sq = sq + (sym.real**2 + sym.imag**2)
+        gain = gain + sym[..., 1] * sym[..., 0].conj()     # (P_g)_12
+        loss = loss + sym[..., 2] * sym[..., 3].conj()     # (P_l)_12
+    return (0.5 * (sq[..., 2] + sq[..., 1]), 0.5 * (sq[..., 3] + sq[..., 0]), 0.5 * (loss + gain),
+            sq[..., 2] - sq[..., 1], sq[..., 3] - sq[..., 0], loss - gain)
 
 
-def _sector_steady(X: np.ndarray, Y: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Batched solve of ``{X_k, Gamma_k} = Y_k`` in the eigenbasis of ``X_k``.
+def _nambu_rates(a11, a22, a12):
+    """Eigenvalues ``(lo, hi)`` of A and ``det A``; ``lo = det A / hi`` has no
+    cancellation, and is 0 where A = 0."""
+    off = a12.real**2 + a12.imag**2
+    hi = 0.5 * (a11 + a22) + np.sqrt((0.5 * (a11 - a22))**2 + off)
+    det = a11 * a22 - off
+    return det / np.where(hi > 0.0, hi, 1.0), hi, det
+
+
+def _nambu_steady(blocks, k: np.ndarray):
+    """Solve ``{A, H} = D`` in closed form; returns ``(h0, h3, h12)``.
+
+    With ``A = t/2 + x.sigma``, ``D = d0 + y.sigma`` and ``H = h0 + h.sigma``
+    the equation reads ``t h0 + 2 x.h = d0`` and ``t h + 2 h0 x = y``, so
+    ``h0 = (t d0 - 2 x.y) / (4 det A)`` and ``h = (y - 2 h0 x) / t``.  This is
+    ``H = aD + b {A', D} + c A' D A'`` with ``A' = A - t/2``, ``|x|^2 = delta``,
+    ``a = t/(4 det) - delta/(2 t det)``, ``b = -1/(4 det)`` and
+    ``c = 1/(2 t det)``, written out in Pauli components.
+    ``h3 = (H_11 - H_22)/2`` and ``h12 = H_12``.
 
     Raises
     ------
     GapClosedError
-        Where the smallest sector rate is at most ``1e-12 * max(1, largest)``:
-        the steady state is not unique there.  The error names the k with the
-        smallest relative rate.
+        Where the smallest sector rate is not above ``1e-12 * max(1, largest)``
+        (NaN included): the steady state is not unique there.  The error names
+        the k with the smallest relative rate.
     """
-    kappa, V = np.linalg.eigh(X)
-    margin = kappa[..., 0] / np.maximum(1.0, kappa[..., -1])
-    if margin.min() <= 1e-12:
+    a11, a22, a12, d11, d22, d12 = blocks
+    lo, hi, det = _nambu_rates(a11, a22, a12)
+    margin = lo / np.maximum(1.0, hi)
+    if not margin.min() > 1e-12:
         i = int(np.argmin(margin))
         kbad = k.reshape(-1, k.shape[-1])[i]
         raise GapClosedError(
             f"sector damping gap closes at k = {np.round(kbad, 6)} "
-            f"(rate {kappa[..., 0].reshape(-1)[i]:.3e}); steady state not unique",
+            f"(rate {lo.reshape(-1)[i]:.3e}); steady state not unique",
             kbad,
         )
-    Vt = np.swapaxes(V, -1, -2)
-    gamma = V @ ((Vt @ Y @ V) / (kappa[..., :, None] + kappa[..., None, :])) @ Vt
-    return 0.5 * (gamma - np.swapaxes(gamma, -1, -2))
+    t = a11 + a22
+    x3 = 0.5 * (a11 - a22)
+    y3 = 0.5 * (d11 - d22)
+    xy = x3 * y3 + a12.real * d12.real + a12.imag * d12.imag
+    h0 = (0.5 * t * (d11 + d22) - 2.0 * xy) / (4.0 * det)
+    return h0, (y3 - 2.0 * h0 * x3) / t, (d12 - 2.0 * h0 * a12) / t
 
 
 @dataclass(frozen=True)
@@ -288,13 +317,15 @@ def momentum_state(model: Families, ks: np.ndarray) -> MomentumState:
     """Exact Gaussian sector steady state Gamma(k) for every k in a grid.
 
     Each pair sector ``(k, -k)`` carries the jump operators
-    ``L_k = v(k) a_k^dag - u(k) a_{-k}`` and ``L_{-k}`` of every family.  Its
-    steady covariance ``Gamma_k`` solves ``{X_k, Gamma_k} = Y_k`` (see
-    :func:`bloch_blocks`), and ``Gamma(k)_{lm} = (i/2) <[c_{k,l}, c_{-k,m}]>``
-    follows from one fixed linear map of the sector Majoranas.  At a
-    self-paired point (k = -k) the sector holds the mode twice; the copies
-    decouple into ``a_k +- a_{-k}`` with symbols ``(u, v)`` and ``(-u, v)``,
-    whose one-mode steady states coincide, so the same map applies.
+    ``L_k = v(k) a_k^dag - u(k) a_{-k}`` and ``L_{-k}`` of every family.  In
+    the Nambu basis ``(a_k, a_{-k}^dag)`` its steady state is the Hermitian
+    2x2 solution H of ``{A, H} = D`` (see :func:`bloch_blocks`), found in
+    closed form, and ``Gamma(k)_{lm} = (i/2) <[c_{k,l}, c_{-k,m}]>`` is
+    ``i W H W^dag`` with ``W = [[1, 1], [-i, i]] / sqrt(2)``, written out
+    entry by entry.  At a self-paired point (k = -k) the sector holds the mode
+    twice; the copies decouple into ``a_k +- a_{-k}`` with symbols ``(u, v)``
+    and ``(-u, v)``, whose one-mode steady states coincide, so the same map
+    applies.
 
     Raises
     ------
@@ -303,16 +334,34 @@ def momentum_state(model: Families, ks: np.ndarray) -> MomentumState:
     """
     fams = _families(model)
     k = _as_kvec(ks, fams[0][1].dim)
-    gamma = _sector_steady(*_sector_dissipator(fams, k), k)
-    return MomentumState(k, np.einsum("la,...ab,mb->...lm", _FLAVOR, gamma, _FLAVOR.conj()))
+    h0, h3, h12 = _nambu_steady(_nambu_blocks(fams, k), k)
+    gamma = np.empty(h0.shape + (2, 2), dtype=complex)
+    gamma[..., 0, 0] = 1j * (h0 + h12.real)
+    gamma[..., 1, 1] = 1j * (h0 - h12.real)
+    gamma[..., 0, 1] = 1j * h12.imag - h3
+    gamma[..., 1, 0] = 1j * h12.imag + h3
+    return MomentumState(k, gamma)
+
+
+def _to_majorana(h11, h22, h12, phase=1.0) -> np.ndarray:
+    """Real 4x4 Majorana block ``U (M (+) conj(M)) U^dag`` of the 2x2 Nambu
+    block ``M = phase * [[h11, h12], [conj(h12), h22]]``."""
+    m = np.zeros(np.shape(h11) + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0] = h11, h22, h12, np.conj(h12)
+    m[..., :2, :2] *= phase
+    m[..., 2:, 2:] = m[..., :2, :2].conj()
+    return (_NAMBU_TO_MAJORANA @ m @ _NAMBU_TO_MAJORANA.conj().T).real
 
 
 def bloch_blocks(model: Families, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """4x4 real Majorana blocks (X_k, Y_k, Gamma_k) of the (k, -k) sectors.
 
     Basis ordering: the interleaved Majorana pairs of the modes ``a_k`` and
-    ``a_{-k}``.  ``Gamma_k`` solves ``{X_k, Gamma_k} = Y_k`` exactly.  Each
-    block has shape ``k.shape[:-1] + (4, 4)``; a scalar 1D k gives (4, 4).
+    ``a_{-k}``.  One fixed unitary U embeds the 2x2 Nambu blocks of the
+    sector: ``X_k = U (A (+) conj(A)) U^dag``, ``Y_k`` likewise from
+    ``B = iD`` and ``Gamma_k`` from ``iH``, so ``{X_k, Gamma_k} = Y_k``
+    holds because ``{A, H} = D`` does.  Each block has shape
+    ``k.shape[:-1] + (4, 4)``; a scalar 1D k gives (4, 4).
 
     Raises
     ------
@@ -321,21 +370,27 @@ def bloch_blocks(model: Families, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     """
     fams = _families(model)
     k = _as_kvec(k, fams[0][1].dim)
-    X, Y = _sector_dissipator(fams, k)
-    return X, Y, _sector_steady(X, Y, k)
+    blocks = _nambu_blocks(fams, k)
+    h0, h3, h12 = _nambu_steady(blocks, k)
+    return (_to_majorana(*blocks[:3]), _to_majorana(*blocks[3:], 1j),
+            _to_majorana(h0 + h3, h0 - h3, h12, 1j))
 
 
 def sector_rates(model: Families, ks: np.ndarray) -> np.ndarray:
-    """Per-k damping rates (two per k) of the pair-sector X_k.
+    """Per-k damping rates (two per k, ascending) of the (k, -k) sector.
 
-    The 4x4 sector spectrum is doubly degenerate (the modes at k and -k see
-    conjugate symbols); the two distinct values are attributed to k.  Over a
-    full symmetric BZ grid, their union reproduces the finite periodic-chain
-    damping spectrum.  A closed gap is reported as a rate, never raised.
+    The sector's 4x4 damping matrix X_k is ``A (+) conj(A)`` up to a fixed
+    unitary (see :func:`bloch_blocks`), so its spectrum is doubly degenerate
+    (the modes at k and -k see conjugate symbols) and the two distinct values
+    are the eigenvalues of the Hermitian 2x2 block A, attributed to k:
+    ``hi = tr A / 2 + sqrt(delta)`` and ``lo = det A / hi`` (0 where A = 0).
+    Over a full symmetric BZ grid, their union reproduces the finite
+    periodic-chain damping spectrum.  A closed gap is reported as a rate,
+    never raised.
     """
     fams = _families(model)
-    X, _ = _sector_dissipator(fams, _as_kvec(ks, fams[0][1].dim))
-    return np.linalg.eigvalsh(X)[..., ::2]
+    lo, hi, _ = _nambu_rates(*_nambu_blocks(fams, _as_kvec(ks, fams[0][1].dim))[:3])
+    return np.stack([lo, hi], axis=-1)
 
 
 # ---------------------------------------------------------------------------

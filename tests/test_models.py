@@ -8,6 +8,7 @@ import pytest
 from lindtop.bloch import (
     RATE_SCALE,
     BlochStencil,
+    GapClosedError,
     bz_grid,
     flatten,
     momentum_state,
@@ -65,6 +66,12 @@ def test_gap_closure_points():
     for beta, closed in [(0.0, True), (4.0, True), (-4.0, True), (2.0, False)]:
         gap = sector_rates(cross_2d(beta), ks2).min()
         assert (gap < 1e-3) == closed, beta
+    # At beta = -4 the sector damping block vanishes at k = (0, 0): both rates
+    # are exactly 0 there, and the steady state is refused by name.
+    assert np.array_equal(sector_rates(cross_2d(-4.0), ks2)[64, 64], [0.0, 0.0])
+    with pytest.raises(GapClosedError) as exc:
+        momentum_state(cross_2d(-4.0), ks2)
+    assert np.array_equal(exc.value.k, [0.0, 0.0])
 
 
 def test_cylinder_reduce():
