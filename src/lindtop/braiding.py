@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import _evolve_in_basis
-from .majorana import Dissipator, build_dissipator
+from .majorana import Dissipator, build_dissipator, default_tol
 from .models import VortexConfig
 
 __all__ = [
@@ -33,11 +33,6 @@ __all__ = [
     "braid_via_schedule",
     "BraidReport",
 ]
-
-# adiabatic_evolve aborts when the damping gap above the tracked block falls
-# below this value.
-_GAP_MIN = 0.0
-
 
 # ---------------------------------------------------------------------------
 # Vector potential of a moving frame
@@ -143,10 +138,19 @@ def vortex_exchange_path(model, lattice, separation: float,
     return diss_at
 
 
-def _kernel_frame(eig: Tuple[np.ndarray, np.ndarray], block_dim: int) -> Tuple[np.ndarray, float]:
-    """Lowest-damping frame (2N, block_dim) and the gap above it, from ``eigh(X)``."""
+def _kernel_frame(d: Dissipator, eig: Tuple[np.ndarray, np.ndarray], block_dim: int,
+                  s: float) -> Tuple[np.ndarray, float]:
+    """Lowest-damping frame (2N, block_dim) and the gap above it, from ``eigh(d.X)``.
+
+    Raises ``ValueError`` naming ``s`` when the gap is closed: at most
+    ``default_tol(d.X)``, the finite layer's zero-rate mask.
+    """
     w, V = eig
     gap = float(w[block_dim]) if block_dim < w.size else np.inf
+    tol = default_tol(d.X)
+    if gap <= tol:
+        raise ValueError(f"damping gap {gap:.3e} is closed (at most {tol:.1e}) "
+                         f"at s = {s:.4f}; path crosses a closing gap")
     return V[:, :block_dim], gap
 
 
@@ -181,14 +185,15 @@ def adiabatic_evolve(
     paths, where the final subspace coincides with the initial one).
 
     Aborts with ``ValueError`` naming s when the damping gap above the
-    tracked block falls below 0.
+    tracked block is closed, at s = 0 or at any step midpoint.
     """
     gamma = np.asarray(gamma0, float).copy()
     dt = schedule.total_time / schedule.steps
     track = block_dim > 0
     min_gap = np.inf
     if track:
-        Q0, min_gap = _kernel_frame(np.linalg.eigh(schedule.path(0.0).X), block_dim)
+        d0 = schedule.path(0.0)
+        Q0, min_gap = _kernel_frame(d0, np.linalg.eigh(d0.X), block_dim, 0.0)
         Q = Q0
         block0 = Q0.T @ gamma @ Q0
     for i in range(schedule.steps):
@@ -204,13 +209,8 @@ def adiabatic_evolve(
             gamma = O @ gamma @ O.T
             gamma = _evolve_in_basis(d, eig, gamma, 0.5 * dt)
         if track:
-            Qn, gap = _kernel_frame(eig, block_dim)
+            Qn, gap = _kernel_frame(d, eig, block_dim, s_mid)
             min_gap = min(min_gap, gap)
-            if gap < _GAP_MIN:
-                raise ValueError(
-                    f"damping gap {gap:.3e} below {_GAP_MIN} at s = {s_mid:.4f}; "
-                    "path crosses a closing gap"
-                )
             Q = _align(Q, Qn)
     if not track:
         return AdiabaticResult(gamma, 0.0, None, min_gap, None, None)

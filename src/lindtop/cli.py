@@ -244,12 +244,13 @@ def _sweep_row(args) -> Tuple[object, ...]:
     damping_gap = float(rates.min())
     try:
         flat = flatten(momentum_state(model, ks), tol=tol)
-        purity_gap = float(flat.purity_gap)
+    except GapClosedError:
+        return (value, damping_gap, 0.0, None)
+    try:
         invariant = winding_number(flat) if model.dim == 1 else chern_number(flat)
-    except (GapClosedError, ValueError):
-        purity_gap = 0.0
+    except ValueError:
         invariant = None
-    return (value, damping_gap, purity_gap, invariant)
+    return (value, damping_gap, float(flat.purity_gap), invariant)
 
 
 def _sweep_rows(name, params, key, values, grid, tol, jobs) -> List[Tuple[object, ...]]:

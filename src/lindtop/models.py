@@ -83,23 +83,8 @@ class FiniteRealization:
         return list(self.G.toarray())
 
     def damping_matrix(self) -> sp.csr_matrix:
-        """Sparse damping matrix ``X = 2 Re(G^H G)``.
-
-        Each operator adds ``2 Re(conj(l_a) l_b)`` for every pair (a, b) of
-        its support, and coinciding entries are summed in operator order.  A
-        sparse product ``G^H @ G`` groups the same sums differently, and that
-        last-ulp difference moves the quasi-zero rates of a vortex pair by
-        ~1e-13.
-        """
-        G = self.G
-        size = np.diff(G.indptr)                                # support size per operator
-        row = np.repeat(np.arange(G.shape[0]), size)            # operator of each stored entry
-        k = size[row]
-        p = np.repeat(np.arange(G.nnz), k)                      # all (p, q) in one row, row-major
-        q = np.arange(p.size) + np.repeat(G.indptr[row] - (np.cumsum(k) - k), k)
-        vals = 2.0 * np.real(G.data[p].conj() * G.data[q])
-        n = G.shape[1]
-        return sp.coo_matrix((vals, (G.indices[p], G.indices[q])), shape=(n, n)).tocsr()
+        """Sparse damping matrix ``X = 2 Re(G^H G)``, one sparse product."""
+        return (2.0 * (self.G.conj().T @ self.G).real).tocsr()
 
     def positions(self) -> np.ndarray:
         """(N, d) array of site coordinates in site-id order."""
@@ -325,23 +310,35 @@ def cross_2d(beta: float) -> ModelInstance:
 
 
 def cylinder_reduce(model: ModelInstance, circumference: int, k_y: float) -> ModelInstance:
-    """Reduce the 2D cross model on a cylinder to its k_y in {0, pi} wires.
+    """The exact wire of a 2D model at the transverse momentum k_y in {0, pi}.
 
-    The transverse momentum sector maps onto the three-site wire with
-    kappa = beta + 2 (k_y = 0) or beta - 2 (k_y = pi), up to an overall
-    amplitude factor that does not affect topology (the returned wire uses
-    the standard 1/sqrt(4+kappa^2) normalization).
+    Around a cylinder of even circumference both self-paired momenta are on
+    the grid, and there ``e^{-i k_y r_y} = (+-1)^{r_y}``.  Each family keeps
+    its weight and becomes a wire whose coefficient at offset r_x is
+    ``sum_{r_y} c_(r_x, r_y) (+-1)^{r_y}``, for u and v alike, so the wire's
+    symbols, sector rates and edge roots at k_x are the 2D ones at
+    (k_x, k_y).  Every r_x that occurs keeps a term, even where it cancels.
     """
-    if model.name != "cross2d":
-        raise ValueError("cylinder reduction is defined for the 2D cross model")
+    if model.dim != 2:
+        raise ValueError("cylinder reduction needs a 2D model")
     if circumference % 2:
         raise ValueError("circumference must be even so k_y = pi is on the grid")
-    beta = model.parameters["beta"]
     if abs(k_y) < 1e-12:
-        return three_site_wire(beta + 2.0)
-    if abs(abs(k_y) - np.pi) < 1e-12:
-        return three_site_wire(beta - 2.0)
-    raise ValueError("reduction is available only for k_y in {0, pi}")
+        sign = 1
+    elif abs(abs(k_y) - np.pi) < 1e-12:
+        sign = -1
+    else:
+        raise ValueError("reduction is available only for k_y in {0, pi}")
+    families = []
+    for weight, st in model.families:
+        u, v = {}, {}
+        for (rx, ry), cu, cv in zip(st.offsets, st.u, st.v):
+            u[rx] = u.get(rx, 0) + cu * sign**ry
+            v[rx] = v.get(rx, 0) + cv * sign**ry
+        rxs = sorted(u)
+        families.append((weight, BlochStencil(1, [(r,) for r in rxs], [u[r] for r in rxs],
+                                              [v[r] for r in rxs])))
+    return ModelInstance(model.name, {**model.parameters, "k_y": k_y}, tuple(families))
 
 
 def insert_vortices(

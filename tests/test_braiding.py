@@ -138,6 +138,25 @@ def test_schedule_validation():
         AdiabaticSchedule(lambda s: d, total_time=1.0, steps=0)
 
 
+@pytest.mark.parametrize("N", [10, 12, 16, 20, 24])
+def test_closed_gap_is_refused_at_every_frame(N):
+    # An open three-site wire has a four-dimensional kernel, so the gap above
+    # a one-mode block is zero up to rounding, of either sign.
+    from lindtop.models import kitaev_wire, three_site_wire
+
+    d = build_dissipator(three_site_wire(1.0).finite_realization((N,), boundary="open").operators)
+    gamma0 = steady_state(d).gamma
+    with pytest.raises(ValueError, match="closed .* at s = 0.0000"):
+        adiabatic_evolve(AdiabaticSchedule(lambda s: d, 1.0, 2), gamma0, block_dim=1)
+    # Above a two-mode block the open Kitaev wire (kernel: its two end
+    # Majoranas) is gapped, so a path that closes after s = 0 is refused at
+    # its first midpoint.
+    kitaev = build_dissipator(kitaev_wire().finite_realization((N,), boundary="open").operators)
+    path = AdiabaticSchedule(lambda s: d if s > 0 else kitaev, 1.0, 2)
+    with pytest.raises(ValueError, match="closed .* at s = 0.2500"):
+        adiabatic_evolve(path, steady_state(kitaev).gamma, block_dim=2)
+
+
 @pytest.fixture(scope="module")
 def exchange_setup():
     from lindtop.models import cross_2d

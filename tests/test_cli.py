@@ -66,6 +66,16 @@ def test_sweep_row_count():
     assert len(rows) == 81
 
 
+def test_sweep_keeps_purity_gap_when_only_the_invariant_fails():
+    # On an 8-point grid the windings at kappa = 1 and 3 are not integral, but
+    # the flattened state exists: its purity gap is reported, not 0.0.
+    res = run_cli("sweep", "--model", "three_site", "--sweep", "kappa=1.0,2.0,3.0", "--grid", "8")
+    assert res.exit_code == 0
+    _, _, rows = parse_csv(res.stdout)
+    assert [r[3] for r in rows] == ["None", "1", "None"]
+    assert all(abs(float(r[2]) - 1.0) < 1e-12 for r in rows)
+
+
 def test_sweep_json_structure():
     res = run_cli("sweep", "--model", "three_site", "--sweep", "kappa=0.5,1.5",
                   "--grid", "32", "--format", "json")

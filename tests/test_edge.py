@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies
 from lindtop.bloch import BlochStencil
 from lindtop.edge import build_mode, fit_localization, solve_beta
 from lindtop.majorana import build_dissipator
-from lindtop.models import cross_2d, kitaev_wire, three_site_wire, zigzag_coherent
+from lindtop.models import (
+    cross_2d,
+    cylinder_reduce,
+    kitaev_wire,
+    three_site_wire,
+    zigzag_coherent,
+)
 
 
 def test_three_site_roots():
@@ -199,3 +205,18 @@ def test_common_factor_2d_condition_rejected():
                       u=(0, 0, 0, 0), v=(1.0, 1.0j, -1.0, -1.0j))
     with pytest.raises(ValueError, match="common factor"):
         solve_beta(st, 0.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5, 3.0, -1.0])
+@pytest.mark.parametrize("phase", [0.0, math.pi])
+@pytest.mark.parametrize("ky", [0.0, math.pi])
+def test_cylinder_wire_roots_match_2d_roots(beta, phase, ky):
+    # The wire at k_y has the 2D boundary condition at beta_y = e^{-i k_y}
+    # = +-1, so its real roots are the beta_x of the 2D roots on that line.
+    model = cross_2d(beta)
+    wire = sorted(s.betas[0] for s in solve_beta(cylinder_reduce(model, 20, ky).stencil, phase))
+    by = math.cos(ky)
+    plane = sorted(s.betas[0] for s in solve_beta(model.stencil, phase)
+                   if abs(s.betas[1] - by) <= 1e-9)
+    assert wire and len(wire) == len(plane)
+    assert np.allclose(wire, plane, rtol=0.0, atol=1e-9), (wire, plane)

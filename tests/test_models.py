@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from lindtop.bloch import (
     RATE_SCALE,
@@ -29,6 +30,8 @@ from lindtop.models import (
     zigzag_coherent,
     zigzag_competing,
 )
+
+from test_bloch import _random_families
 
 
 @pytest.mark.parametrize(
@@ -75,13 +78,34 @@ def test_gap_closure_points():
 
 
 def test_cylinder_reduce():
-    for beta, ky, kappa in [(2.0, np.pi, 0.0), (2.0, 0.0, 4.0), (5.0, np.pi, 3.0)]:
+    # cross_2d: u = +-1 at r_x = +-1 and +-i at r_y = +-1, which cancel in the
+    # sum; v = 1 on the arms and beta on site, so v(r_x = 0) = beta +- 2.
+    for beta, ky, v0 in [(2.0, np.pi, 0.0), (2.0, 0.0, 4.0), (5.0, np.pi, 3.0)]:
         wire = cylinder_reduce(cross_2d(beta), circumference=20, k_y=ky)
-        assert wire.parameters["kappa"] == pytest.approx(kappa)
+        (weight, st), = wire.families
+        assert weight == 1.0 and wire.dim == 1
+        assert st.offsets == ((-1,), (0,), (1,))
+        assert st.u == (-1.0, 0.0, 1.0)
+        assert st.v == (1.0, v0, 1.0)
     with pytest.raises(ValueError):
         cylinder_reduce(cross_2d(2.0), circumference=20, k_y=1.0)
     with pytest.raises(ValueError):
         cylinder_reduce(cross_2d(2.0), circumference=21, k_y=0.0)
+    with pytest.raises(ValueError):
+        cylinder_reduce(three_site_wire(1.0), circumference=20, k_y=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.sampled_from([0.0, np.pi]))
+def test_cylinder_reduce_is_exact(seed, ky):
+    # The reduced wire's sector rates at k_x are the 2D ones at (k_x, k_y),
+    # on a k_x grid that holds the self-paired momenta 0 and pi.
+    model = ModelInstance("random2d", {}, tuple(_random_families(np.random.default_rng(seed), 2)))
+    wire = cylinder_reduce(model, 20, ky)
+    kx = bz_grid(16, 1, offset=0.0)
+    want = sector_rates(model, np.stack([kx[:, 0], np.full(len(kx), ky)], axis=-1))
+    got = sector_rates(wire, kx)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, want.max())
 
 
 def test_cylinder_winding_values():
