@@ -19,7 +19,6 @@ from .dynamics import (
 )
 from .bloch import (
     BlochStencil,
-    BlochSymbol,
     bloch_blocks,
     bz_grid,
     chern_number,

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "BlochStencil",
-    "BlochSymbol",
     "MomentumState",
     "FlattenedState",
     "bz_grid",
@@ -161,19 +160,6 @@ def find_symmetry_center(stencil: BlochStencil) -> Optional[Tuple[float, ...]]:
         if trial.is_pure_capable():
             return c
     return None
-
-
-@dataclass(frozen=True)
-class BlochSymbol:
-    """Momentum symbol ``k -> (u_k, v_k)``."""
-
-    dim: int
-    u: Callable[[np.ndarray], np.ndarray]
-    v: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_stencil(cls, stencil: BlochStencil) -> "BlochSymbol":
-        return cls(stencil.dim, stencil.u_symbol, stencil.v_symbol)
 
 
 Families = Union[BlochStencil, Sequence[Tuple[float, BlochStencil]]]
@@ -583,26 +569,25 @@ def windings_around_u_zeros(
     vortices at O(1) magnitude, which this rejects).  For any quasi-local
     symbol the zero windings sum to 0; in general the sum equals the Chern
     number of the associated flattened state.
+    Takes a :class:`BlochStencil` or any object with ``dim`` and callables
+    ``u(k)``, ``v(k)`` (a non-local symbol, say).
     """
-    if isinstance(stencil_or_symbol, BlochStencil):
-        sym = BlochSymbol.from_stencil(stencil_or_symbol)
-    else:
-        sym = stencil_or_symbol
+    sym = stencil_or_symbol
+    ufun, vfun = (sym.u_symbol, sym.v_symbol) if isinstance(sym, BlochStencil) else (sym.u, sym.v)
     if sym.dim != 2:
         raise ValueError("u-zero winding analysis is 2D only")
     ks = bz_grid(nk, 2, offset=0.5)   # offset avoids zeros sitting on corners
-    u = sym.u(ks)
+    u = ufun(ks)
     if np.abs(u).min() == 0.0:
         ks = bz_grid(nk, 2, offset=0.25)
-        u = sym.u(ks)
+        u = ufun(ks)
         if np.abs(u).min() == 0.0:
             raise ValueError("u vanishes on every offset grid tried; enlarge nk")
-    v = sym.v(ks)
+    v = vfun(ks)
     if np.sqrt(np.abs(u) ** 2 + np.abs(v) ** 2).min() <= 1e-12:
         raise ValueError("u and v vanish simultaneously; symbol invalid")
 
     phase = np.angle(u)
-    corners = [u, np.roll(u, -1, 0), np.roll(np.roll(u, -1, 0), -1, 1), np.roll(u, -1, 1)]
     phases = [phase, np.roll(phase, -1, 0), np.roll(np.roll(phase, -1, 0), -1, 1), np.roll(phase, -1, 1)]
     total = np.zeros_like(phase)
     for i in range(4):
@@ -615,7 +600,7 @@ def windings_around_u_zeros(
     half = np.pi / nk
     for ix, iy in zip(*np.nonzero(charge)):
         center = (float(ks[ix, iy, 0] + half), float(ks[ix, iy, 1] + half))
-        if _confirm_u_zero(sym.u, center, half, scale):
+        if _confirm_u_zero(ufun, center, half, scale):
             zeros.append(UZeroWinding(center, int(charge[ix, iy])))
     return zeros, int(sum(z.winding for z in zeros))
 

@@ -106,8 +106,6 @@ class AdiabaticResult:
     leakage: float                 # co-moving zero-block deviation from constancy
     holonomy: Optional[np.ndarray]  # Q(0)^T Qtilde(1), closed paths only
     min_gap: float                 # smallest damping gap above the kernel seen
-    block_initial: Optional[np.ndarray]
-    block_final: Optional[np.ndarray]
 
 
 def vortex_exchange_path(model, lattice, separation: float,
@@ -213,11 +211,11 @@ def adiabatic_evolve(
             min_gap = min(min_gap, gap)
             Q = _align(Q, Qn)
     if not track:
-        return AdiabaticResult(gamma, 0.0, None, min_gap, None, None)
+        return AdiabaticResult(gamma, 0.0, None, min_gap)
     block1 = Q.T @ gamma @ Q
     leakage = float(np.linalg.norm(block1 - block0, 2))
     holonomy = Q0.T @ Q
-    return AdiabaticResult(gamma, leakage, holonomy, min_gap, block0, block1)
+    return AdiabaticResult(gamma, leakage, holonomy, min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,6 @@ def braid_matrix(word, registry_size: Optional[int] = None) -> np.ndarray:
 @dataclass(frozen=True)
 class BraidReport:
     holonomy: np.ndarray
-    braid_reference: np.ndarray
     fidelity_error: float      # min over residual gauge of |W -+ B|
     leakage: float
     min_gap: float
@@ -295,4 +292,4 @@ def braid_via_schedule(
         float(np.linalg.norm(W - B, 2)),
         float(np.linalg.norm(W - B.T, 2)),
     )
-    return BraidReport(W, B, err, res.leakage, res.min_gap)
+    return BraidReport(W, err, res.leakage, res.min_gap)

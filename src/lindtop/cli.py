@@ -222,6 +222,31 @@ def _parse_lattice(spec: Optional[str], dim: int, default1d: int = 60, default2d
     return ext
 
 
+def _numbers(option: str, spec, rule: str = "") -> List[float]:
+    """Values of ``option`` from one number or a comma list (``pi`` allowed).
+
+    A ConfigError names the option for an entry that is not a number, not
+    finite, or breaks ``rule`` (``"> 0"`` or ``">= 0"``).
+    """
+    values = []
+    for tok in filter(None, (t.strip() for t in str(spec).split(","))):
+        try:
+            x = math.pi if tok == "pi" else float(tok)
+        except ValueError:
+            raise ConfigError(f"{option}: {tok!r} is not a number")
+        if not math.isfinite(x):
+            raise ConfigError(f"{option} {tok} is not finite")
+        if rule and not (x > 0 if rule == "> 0" else x >= 0):
+            raise ConfigError(f"{option} must be {rule}, got {tok}")
+        values.append(x)
+    return values
+
+
+def _checked(rule: str = ""):
+    """Click callback passing a scalar option through :func:`_numbers`."""
+    return lambda ctx, param, value: _numbers(param.opts[0], value, rule)[0]
+
+
 def _default_grid(grid: Optional[int], dim: int) -> int:
     if grid is not None:
         if grid < 8:
@@ -311,7 +336,8 @@ _common = [
     click.option("--out", "out", default=None, type=click.Path(), help="Output file (default stdout)."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
 ]
-_tol = click.option("--tol", type=float, default=1e-8, help="Gap tolerance.")
+_tol = click.option("--tol", type=float, default=1e-8, callback=_checked(">= 0"),
+                    help="Gap tolerance.")
 
 
 def _with_common(f):
@@ -424,15 +450,7 @@ def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, lattice, p
     params = _collect_params(param, config_file, kappa, beta)
     model = _make_model(model_name, params)
     ext = _parse_lattice(lattice, model.dim)
-    phase_vals = []
-    for tok in phases.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            phase_vals.append(math.pi if tok == "pi" else float(tok))
-        except ValueError:
-            raise ConfigError(f"bad phase {tok!r}")
+    phase_vals = _numbers("--phases", phases)
     cfg = _normalized_config(task="edge-modes", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), phases=phases, format=fmt)
     boundary = "open" if model.dim == 1 else "cylinder"
@@ -465,7 +483,8 @@ def edge_modes(model_name, param, kappa, beta, config_file, out, fmt, lattice, p
 @main.command()
 @_with_common
 @click.option("--lattice", default=None, help="Lattice WxH (default 35x35).")
-@click.option("--separation", type=float, default=16.0, help="Vortex pair separation.")
+@click.option("--separation", type=float, default=16.0, callback=_checked(),
+              help="Vortex pair separation.")
 @click.option("--separations", default=None,
               help="Comma list of separations: emit the residual-rate table instead.")
 @click.option("--vorticity", type=int, default=1)
@@ -480,10 +499,7 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
     if separations:
         if ext[0] != ext[1]:
             raise ConfigError(f"--separations needs a square lattice, got {lattice!r}")
-        try:
-            ds = [float(v) for v in separations.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --separations {separations!r}")
+        ds = _numbers("--separations", separations)
         cfg = _normalized_config(task="vortex", model=model_name, params=params,
                                  lattice="x".join(map(str, ext)),
                                  separations=ds, vorticity=vorticity, format=fmt)
@@ -520,10 +536,10 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
 @main.command()
 @_with_common
 @click.option("--lattice", default="14x14")
-@click.option("--separation", type=float, default=7.0)
+@click.option("--separation", type=float, default=7.0, callback=_checked())
 @click.option("--times", default="20,40,80", help="Comma list of total times T.")
-@click.option("--dt", type=float, default=0.5, help="Integrator step.")
-@click.option("--core-scale", type=float, default=0.7)
+@click.option("--dt", type=float, default=0.5, callback=_checked("> 0"), help="Integrator step.")
+@click.option("--core-scale", type=float, default=0.7, callback=_checked(">= 0"))
 def braid(model_name, param, kappa, beta, config_file, out, fmt,
           lattice, separation, times, dt, core_scale):
     """Adiabatic two-vortex exchange: leakage and holonomy vs total time."""
@@ -534,10 +550,7 @@ def braid(model_name, param, kappa, beta, config_file, out, fmt,
     if model.dim != 2:
         raise ConfigError("braid schedules need a 2D model")
     ext = _parse_lattice(lattice, 2)
-    try:
-        t_list = [float(v) for v in times.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --times {times!r}")
+    t_list = _numbers("--times", times, "> 0")
     cfg = _normalized_config(task="braid", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), separation=separation,
                              times=t_list, dt=dt, core_scale=core_scale, format=fmt)

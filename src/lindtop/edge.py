@@ -114,8 +114,6 @@ def _real_nonzero_roots(coeffs: np.ndarray, tol: float = _REAL_ROOT_TOL) -> List
 def _stencil_coeffs(stencil: BlochStencil, phase: float) -> Tuple[np.ndarray, np.ndarray]:
     """Offsets (K, d) and condition coefficients e^{-i phi} u_j + v_j."""
     offs = np.asarray(stencil.offsets, dtype=int)
-    if offs.ndim == 1:
-        offs = offs[:, None]
     c = np.exp(-1j * phase) * np.asarray(stencil.u, complex) + np.asarray(stencil.v, complex)
     return offs, c
 
@@ -144,17 +142,14 @@ def solve_beta(stencil: BlochStencil, phase: float = 0.0) -> List[BetaSolution]:
         )
     dim = offs.shape[1]
     if dim == 1:
-        return _solve_beta_1d(offs[:, 0], c, float(phase))
+        return _solve_beta_1d(offs, c, float(phase))
     if dim == 2:
         return _solve_beta_2d(offs, c, float(phase))
     raise ValueError("edge-mode solver supports 1D and 2D stencils only")
 
 
-def _solve_beta_1d(offsets: np.ndarray, c: np.ndarray, phase: float) -> List[BetaSolution]:
-    lo = int(offsets.min())
-    poly = np.zeros(int(offsets.max()) - lo + 1, dtype=complex)
-    for j, cj in zip(offsets, c):
-        poly[int(j) - lo] += cj
+def _solve_beta_1d(offs: np.ndarray, c: np.ndarray, phase: float) -> List[BetaSolution]:
+    poly = _poly_matrix(offs, c)
     sols = []
     for b in _real_nonzero_roots(poly):
         res = abs(np.polynomial.Polynomial(poly)(b))
@@ -163,11 +158,14 @@ def _solve_beta_1d(offsets: np.ndarray, c: np.ndarray, phase: float) -> List[Bet
 
 
 def _poly_matrix(offs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coefficient matrix C[mx, my] after clearing beta^{-1} denominators."""
-    lox, loy = int(offs[:, 0].min()), int(offs[:, 1].min())
-    C = np.zeros((int(offs[:, 0].max()) - lox + 1, int(offs[:, 1].max()) - loy + 1), complex)
-    for (jx, jy), cj in zip(offs, c):
-        C[int(jx) - lox, int(jy) - loy] += cj
+    """Coefficient array C[m_1, ..., m_d] after clearing beta^{-1} denominators.
+
+    Offsets (K, d) are distinct (BlochStencil rejects duplicates), so one
+    index assignment places every coefficient.
+    """
+    lo = offs.min(axis=0)
+    C = np.zeros(tuple(offs.max(axis=0) - lo + 1), complex)
+    C[tuple((offs - lo).T)] += c
     return C
 
 

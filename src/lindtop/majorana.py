@@ -341,12 +341,9 @@ def purity_spectrum(gamma: np.ndarray) -> PuritySpectrum:
 
 @dataclass(frozen=True)
 class PurityClassification:
-    """Result of the pure-state-capability test with diagnostics."""
+    """Result of the pure-state-capability test."""
 
     label: str                      # "PureCapable" or "MixedForced"
-    max_anticommutator: float       # max_ij |{L_i, L_j}|
-    commutator_norm: float          # ||[X, Y]||
-    square_relation_norm: float     # ||X^2 + Y^2/4||
 
     @property
     def pure_capable(self) -> bool:
@@ -357,16 +354,12 @@ def purity_class(lindblads: Sequence[np.ndarray]) -> PurityClassification:
     """Classify a jump-operator family as pure-capable or mixed-forced.
 
     The family can reach a pure steady state iff all pairwise anticommutators
-    ``{L_i, L_j}`` vanish; equivalently ``[X, Y] = 0`` and ``X^2 = -Y^2/4``.
-    Both witnesses are computed as a cross-check of the equivalence.
+    ``{L_i, L_j}`` vanish (equivalently ``[X, Y] = 0`` and ``X^2 = -Y^2/4``),
+    tested against ``default_tol(X, Y)``.
     """
     if not lindblads:
         raise ValueError("purity_class requires a nonempty operator list")
-    table = anticommutator_table(lindblads)
+    max_ac = float(np.abs(anticommutator_table(lindblads)).max())
     d = build_dissipator(lindblads)
-    tol = default_tol(d.X, d.Y)
-    comm = np.linalg.norm(d.X @ d.Y - d.Y @ d.X, 2)
-    sq = np.linalg.norm(d.X @ d.X + 0.25 * (d.Y @ d.Y), 2)
-    max_ac = float(np.abs(table).max())
-    label = "PureCapable" if max_ac <= tol else "MixedForced"
-    return PurityClassification(label, max_ac, float(comm), float(sq))
+    label = "PureCapable" if max_ac <= default_tol(d.X, d.Y) else "MixedForced"
+    return PurityClassification(label)

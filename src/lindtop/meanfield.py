@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bloch import BlochStencil, BlochSymbol, bz_grid
+from .bloch import BlochStencil, bz_grid
 
 __all__ = [
     "MeanFieldSolution",
@@ -58,24 +58,15 @@ def linearize(stencil: BlochStencil, alpha: complex) -> BlochStencil:
     return replace(stencil, u=tuple(u.tolist()))
 
 
-def _symbol(symbol_or_stencil) -> BlochSymbol:
-    if isinstance(symbol_or_stencil, BlochStencil):
-        return BlochSymbol.from_stencil(symbol_or_stencil)
-    return symbol_or_stencil
-
-
-def _mode_weights(sym: BlochSymbol, ks: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(n_k, denom) with n_k = r^2 |v_k|^2 / (|u_k|^2 + r^2 |v_k|^2)."""
-    u2 = np.abs(sym.u(ks)) ** 2
-    v2 = np.abs(sym.v(ks)) ** 2
+def _mode_weights(u2: np.ndarray, v2: np.ndarray, r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(n_k, denom) with n_k = r^2 |v_k|^2 / (|u_k|^2 + r^2 |v_k|^2), from |u_k|^2, |v_k|^2."""
     denom = u2 + r * r * v2
-    bad = denom <= 1e-300
-    if np.any(bad):
+    if np.any(denom <= 1e-300):
         raise ValueError("u and v vanish simultaneously on the grid; symbol invalid")
     return (r * r * v2) / denom, denom
 
 
-def solve_number_equation(symbol_or_stencil, filling: float) -> MeanFieldSolution:
+def solve_number_equation(stencil: BlochStencil, filling: float) -> MeanFieldSolution:
     """Solve the number equation ``mean_k n_k(r) = filling`` for r >= 0.
 
     ``n_k = r^2 |v_k|^2 / (|u_k|^2 + r^2 |v_k|^2)`` is the filling of mode k
@@ -83,17 +74,19 @@ def solve_number_equation(symbol_or_stencil, filling: float) -> MeanFieldSolutio
     (the phase drops out).  Monotone in r, solved by bisection after doubling
     the bracket until overshoot.  Also evaluates the effective base rate
     ``kappa0 = mean_k |ubar_k vbar_k|^2`` at the solution, with
-    (ubar, vbar) = (u, r v)/sqrt(|u|^2 + r^2 |v|^2).
+    (ubar, vbar) = (u, r v)/sqrt(|u|^2 + r^2 |v|^2).  Each symbol of the
+    stencil is evaluated once, on one grid.
     """
     if not 0.0 < filling < 1.0:
         raise ValueError("target filling must lie strictly between 0 and 1")
-    sym = _symbol(symbol_or_stencil)
-    ks = bz_grid(_NUMBER_NK, sym.dim, offset=0.5)
-    if float(np.abs(sym.v(ks)).max()) <= 1e-14:
+    ks = bz_grid(_NUMBER_NK, stencil.dim, offset=0.5)
+    v_abs = np.abs(stencil.v_symbol(ks))
+    if float(v_abs.max()) <= 1e-14:
         raise ValueError("creation symbol v vanishes identically; filling > 0 unattainable")
+    u2, v2 = np.abs(stencil.u_symbol(ks)) ** 2, v_abs**2
 
     def n_of(r: float) -> float:
-        return float(_mode_weights(sym, ks, r)[0].mean())
+        return float(_mode_weights(u2, v2, r)[0].mean())
 
     r_hi = 1.0
     while n_of(r_hi) < filling:
@@ -111,8 +104,8 @@ def solve_number_equation(symbol_or_stencil, filling: float) -> MeanFieldSolutio
         else:
             r_hi = mid
     r = 0.5 * (r_lo + r_hi)
-    nk_vals, denom = _mode_weights(sym, ks, r)
-    kappa0 = float((np.abs(sym.u(ks)) ** 2 * r * r * np.abs(sym.v(ks)) ** 2 / denom**2).mean())
+    nk_vals, denom = _mode_weights(u2, v2, r)
+    kappa0 = float((u2 * r * r * v2 / denom**2).mean())
     return MeanFieldSolution(r, kappa0, float(nk_vals.mean()))
 
 
@@ -126,18 +119,17 @@ class FluctuationTable:
 
 
 def fluctuation_scaling(
-    symbol_or_stencil,
+    stencil: BlochStencil,
     alpha_modulus: float,
     sizes: Sequence[int],
 ) -> FluctuationTable:
     """``Delta N^2 = sum_k n_k (1 - n_k) / (sum_k n_k)^2`` on L-point grids.
 
-    For a d-dimensional symbol each size L means an L^d periodic lattice, so
+    For a d-dimensional stencil each size L means an L^d periodic lattice, so
     the expected scaling is ``Delta N^2 ~ 1/L^d``.  A fully empty state
     (all n_k = 0) has undefined relative fluctuations, reported as nan and
     excluded from the fit.
     """
-    sym = _symbol(symbol_or_stencil)
     r = float(alpha_modulus)
     vals: List[float] = []
     for L in sizes:
@@ -145,8 +137,9 @@ def fluctuation_scaling(
             # Empty state regardless of the grid; avoid 0/0 at zeros of u.
             vals.append(math.nan)
             continue
-        ks = bz_grid(int(L), sym.dim, offset=0.0)
-        n_k = _mode_weights(sym, ks, r)[0].reshape(-1)
+        ks = bz_grid(int(L), stencil.dim, offset=0.0)
+        u2, v2 = np.abs(stencil.u_symbol(ks)) ** 2, np.abs(stencil.v_symbol(ks)) ** 2
+        n_k = _mode_weights(u2, v2, r)[0].reshape(-1)
         total = float(n_k.sum())
         if total <= 0.0:
             vals.append(math.nan)

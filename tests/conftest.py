@@ -1,6 +1,14 @@
 """Shared test helpers: random jump-operator families with known structure."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads: the suite's small dense products
+# run slower when BLAS threads oversubscribe a few cores.  An explicit
+# setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 

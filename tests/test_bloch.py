@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies
 from lindtop.bloch import (
     RATE_SCALE,
     BlochStencil,
-    BlochSymbol,
     GapClosedError,
     bloch_blocks,
     bz_grid,
@@ -35,19 +34,19 @@ from lindtop.models import (
 
 
 def test_three_site_symbols():
-    sym = BlochSymbol.from_stencil(three_site_wire(0.7).stencil)
+    st = three_site_wire(0.7).stencil
     k = np.linspace(-np.pi, np.pi, 64, endpoint=False)[:, None]
     norm = 1.0 / np.sqrt(4 + 0.7**2)
-    assert np.allclose(sym.v(k), (0.7 + 2 * np.cos(k[:, 0])) * norm, atol=1e-14)
-    assert np.allclose(sym.u(k), -2j * np.sin(k[:, 0]) * norm, atol=1e-14)
+    assert np.allclose(st.v_symbol(k), (0.7 + 2 * np.cos(k[:, 0])) * norm, atol=1e-14)
+    assert np.allclose(st.u_symbol(k), -2j * np.sin(k[:, 0]) * norm, atol=1e-14)
 
 
 def test_cross_symbols():
-    sym = BlochSymbol.from_stencil(cross_2d(2.5).stencil)
+    st = cross_2d(2.5).stencil
     ks = bz_grid(16, 2, offset=0.5)
     kx, ky = ks[..., 0], ks[..., 1]
-    assert np.allclose(sym.v(ks), 2.5 + 2 * (np.cos(kx) + np.cos(ky)), atol=1e-13)
-    assert np.allclose(sym.u(ks), 2j * (np.sin(kx) + 1j * np.sin(ky)), atol=1e-13)
+    assert np.allclose(st.v_symbol(ks), 2.5 + 2 * (np.cos(kx) + np.cos(ky)), atol=1e-13)
+    assert np.allclose(st.u_symbol(ks), 2j * (np.sin(kx) + 1j * np.sin(ky)), atol=1e-13)
 
 
 def test_zigzag_family_symbols():
@@ -57,10 +56,9 @@ def test_zigzag_family_symbols():
     assert fams[1][0] == pytest.approx(0.4 / 1.4)
     k = np.linspace(-np.pi, np.pi, 32, endpoint=False)[:, None]
     for (_, st), alpha in zip(fams, (1, 2)):
-        sym = BlochSymbol.from_stencil(st)
         phase = np.exp(1j * k[:, 0] * alpha / 2)
-        assert np.allclose(sym.v(k), phase.conj() * np.cos(k[:, 0] * alpha / 2), atol=1e-13)
-        assert np.allclose(np.abs(sym.u(k)), np.abs(np.sin(k[:, 0] * alpha / 2)), atol=1e-13)
+        assert np.allclose(st.v_symbol(k), phase.conj() * np.cos(k[:, 0] * alpha / 2), atol=1e-13)
+        assert np.allclose(np.abs(st.u_symbol(k)), np.abs(np.sin(k[:, 0] * alpha / 2)), atol=1e-13)
 
 
 def test_finite_periodic_matches_sector_rates():

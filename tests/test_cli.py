@@ -124,11 +124,26 @@ def test_unknown_parameter_exits_2():
     ("invariant", "--model", "three_site", "--param", "kappa={}"),
     ("sweep", "--model", "three_site", "--sweep", "kappa=1,{}"),
     ("sweep", "--model", "three_site", "--sweep", "kappa=0:{}:1"),
+    ("spectrum", "--model", "three_site", "--tol", "{}"),
+    ("edge-modes", "--model", "kitaev", "--phases", "0,{}"),
+    ("vortex", "--model", "cross2d", "--beta", "2", "--separation", "{}"),
+    ("vortex", "--model", "cross2d", "--beta", "2", "--lattice", "9x9", "--separations", "2,{}"),
+    ("braid", "--model", "cross2d", "--beta", "2", "--dt", "{}"),
+    ("braid", "--model", "cross2d", "--beta", "2", "--times", "5,{}"),
+    ("braid", "--model", "cross2d", "--beta", "2", "--separation", "{}"),
+    ("braid", "--model", "cross2d", "--beta", "2", "--core-scale", "{}"),
 ])
 def test_non_finite_parameter_exits_2(args, value):
     res = run_cli(*(a.format(value) for a in args))
     assert res.exit_code == 2
     assert "not finite" in res.output or "non-finite" in res.output
+
+
+@pytest.mark.parametrize("option, value", [("--dt", "0"), ("--times", "5,-2")])
+def test_non_positive_step_exits_2(option, value):
+    res = run_cli("braid", "--model", "cross2d", "--beta", "2", option, value)
+    assert res.exit_code == 2
+    assert option in res.output and "> 0" in res.output
 
 
 def test_bad_sweep_exits_2():
@@ -208,7 +223,7 @@ def test_spectrum_shape():
 
 
 def test_vortex_small_lattice():
-    res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2", "--beta", "2",
                   "--lattice", "12x12", "--separation", "6")
     assert res.exit_code == 0
     _, header, rows = parse_csv(res.stdout)
@@ -218,7 +233,7 @@ def test_vortex_small_lattice():
 
 def test_vortex_sparse_path_is_deterministic():
     # 17x17 has 578 Majoranas, above the dense limit of smallest_damping_rates.
-    args = ("vortex", "--model", "cross2d", "--beta", "2", "--lattice", "17x17",
+    args = ("vortex", "--model", "cross2d", "--beta", "2", "--beta", "2", "--lattice", "17x17",
             "--separation", "8")
     first, second = run_cli(*args), run_cli(*args)
     assert first.exit_code == 0 and second.exit_code == 0
@@ -226,11 +241,11 @@ def test_vortex_sparse_path_is_deterministic():
 
 
 def test_vortex_center_outside_lattice_exits_2():
-    res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2", "--beta", "2",
                   "--lattice", "10x10", "--separation", "30")
     assert res.exit_code == 2
     assert "outside lattice" in res.output
-    res = run_cli("vortex", "--model", "cross2d", "--beta", "2",
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2", "--beta", "2",
                   "--lattice", "10x10", "--separations", "4,30")
     assert res.exit_code == 2
     assert "outside lattice" in res.output
@@ -238,7 +253,7 @@ def test_vortex_center_outside_lattice_exits_2():
 
 def test_vortex_separations_needs_square_lattice():
     # The separation sweep runs on an L x L lattice only.
-    res = run_cli("vortex", "--model", "cross2d", "--beta", "3",
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2", "--beta", "3",
                   "--lattice", "21x15", "--separations", "4,6")
     assert res.exit_code == 2
     assert "square lattice" in res.output
@@ -251,7 +266,7 @@ def _reject_constant(name):
 def test_vortex_undefined_fit_is_null():
     # Two separations are too few for the decay fit, so its slope and r^2
     # are undefined; both formats write null, never NaN.
-    args = ("vortex", "--model", "cross2d", "--beta", "3", "--lattice", "9x9",
+    args = ("vortex", "--model", "cross2d", "--beta", "2", "--beta", "3", "--lattice", "9x9",
             "--separations", "2,4")
     res = run_cli(*args, "--format", "json")
     assert res.exit_code == 0
@@ -277,14 +292,14 @@ def test_json_rows_write_infinity_as_null():
 
 
 def test_braid_exchange_circle_outside_lattice_exits_2():
-    res = run_cli("braid", "--model", "cross2d", "--beta", "2",
+    res = run_cli("braid", "--model", "cross2d", "--beta", "2", "--beta", "2",
                   "--lattice", "8x8", "--separation", "9", "--times", "2")
     assert res.exit_code == 2
     assert "leaves lattice" in res.output
 
 
 def test_braid_frame_jump_exits_3():
-    res = run_cli("braid", "--model", "cross2d", "--beta", "2",
+    res = run_cli("braid", "--model", "cross2d", "--beta", "2", "--beta", "2",
                   "--lattice", "8x8", "--separation", "4", "--times", "2")
     assert res.exit_code == 3
     assert "numerical failure" in res.output and "frame jump" in res.output

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lindtop.bloch import BlochSymbol, bz_grid, flatten, momentum_state
+from lindtop.bloch import BlochStencil, bz_grid, flatten, momentum_state
 from lindtop.meanfield import fluctuation_scaling, linearize, solve_number_equation
 from lindtop.models import cross_2d, kitaev_wire, three_site_wire, zigzag_competing
 
@@ -19,22 +19,36 @@ def test_kitaev_half_filling_gives_unit_modulus():
 
 def test_three_site_self_consistency():
     sol = solve_number_equation(three_site_wire(1.0).stencil, 0.5)
-    sym = BlochSymbol.from_stencil(three_site_wire(1.0).stencil)
+    st = three_site_wire(1.0).stencil
     ks = bz_grid(256, 1, offset=0.5)
     r = sol.alpha_modulus
-    u2, v2 = np.abs(sym.u(ks)) ** 2, np.abs(sym.v(ks)) ** 2
+    u2, v2 = np.abs(st.u_symbol(ks)) ** 2, np.abs(st.v_symbol(ks)) ** 2
     n = (r * r * v2 / (u2 + r * r * v2)).mean()
     assert n == pytest.approx(0.5, abs=1e-8)
 
 
 def test_number_equation_monotone_in_r():
-    sym = BlochSymbol.from_stencil(three_site_wire(0.8).stencil)
+    st = three_site_wire(0.8).stencil
     ks = bz_grid(128, 1, offset=0.5)
-    u2, v2 = np.abs(sym.u(ks)) ** 2, np.abs(sym.v(ks)) ** 2
+    u2, v2 = np.abs(st.u_symbol(ks)) ** 2, np.abs(st.v_symbol(ks)) ** 2
     rs = np.linspace(0.0, 5.0, 60)
     ns = [(r * r * v2 / (u2 + r * r * v2)).mean() for r in rs]
     assert all(b >= a - 1e-14 for a, b in zip(ns, ns[1:]))
     assert ns[0] == 0.0
+
+
+def test_number_equation_evaluates_each_symbol_once(monkeypatch):
+    # The bisection reuses |u|^2 and |v|^2 of one grid instead of
+    # re-evaluating both symbols at every step.
+    calls = {"u_symbol": 0, "v_symbol": 0}
+    for name in calls:
+        def counted(self, k, _name=name, _symbol=getattr(BlochStencil, name)):
+            calls[_name] += 1
+            return _symbol(self, k)
+
+        monkeypatch.setattr(BlochStencil, name, counted)
+    solve_number_equation(kitaev_wire().stencil, 0.5)
+    assert calls == {"u_symbol": 1, "v_symbol": 1}
 
 
 def test_small_filling_gives_small_r():
