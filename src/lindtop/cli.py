@@ -225,8 +225,8 @@ def _parse_lattice(spec: Optional[str], dim: int, default1d: int = 60, default2d
 def _numbers(option: str, spec, rule: str = "") -> List[float]:
     """Values of ``option`` from one number or a comma list (``pi`` allowed).
 
-    A ConfigError names the option for an entry that is not a number, not
-    finite, or breaks ``rule`` (``"> 0"`` or ``">= 0"``).
+    A ConfigError names the option for an empty list, or an entry that is
+    not a number, not finite, or breaks ``rule`` (``"> 0"`` or ``">= 0"``).
     """
     values = []
     for tok in filter(None, (t.strip() for t in str(spec).split(","))):
@@ -239,6 +239,8 @@ def _numbers(option: str, spec, rule: str = "") -> List[float]:
         if rule and not (x > 0 if rule == "> 0" else x >= 0):
             raise ConfigError(f"{option} must be {rule}, got {tok}")
         values.append(x)
+    if not values:
+        raise ConfigError(f"empty {option}")
     return values
 
 
@@ -391,7 +393,8 @@ def spectrum(model_name, param, kappa, beta, config_file, out, fmt, tol, grid):
 @click.option("--sweep", "sweep_spec", required=True,
               help="Swept parameter: key=start:stop:step or key=v1,v2,...")
 @click.option("--grid", type=int, default=None)
-@click.option("--jobs", type=int, default=1, help="Worker processes for sweep rows.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              help="Worker processes for sweep rows.")
 def sweep(model_name, param, kappa, beta, config_file, out, fmt, tol, sweep_spec, grid, jobs):
     """Parameter sweep: damping gap, purity gap, and topological invariant."""
     params = _collect_params(param, config_file, kappa, beta)
@@ -496,7 +499,7 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
     if model.dim != 2:
         raise ConfigError("vortex analysis needs a 2D model")
     ext = _parse_lattice(lattice, 2)
-    if separations:
+    if separations is not None:
         if ext[0] != ext[1]:
             raise ConfigError(f"--separations needs a square lattice, got {lattice!r}")
         ds = _numbers("--separations", separations)
@@ -529,7 +532,7 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
     d = build_dissipator(fr.operators, num_majoranas=2 * ext[0] * ext[1])
     gamma = steady_state(d).gamma
     purities = purity_spectrum(gamma).values[:6]
-    rows = [(i, float(rates[i]), float(purities[i])) for i in range(min(len(rates), 6))]
+    rows = [(i, float(r), float(p)) for i, r, p in zip(range(6), rates, purities)]
     _write_table(out, fmt, cfg, ["index", "damping_rate", "purity_value"], rows)
 
 
@@ -551,6 +554,9 @@ def braid(model_name, param, kappa, beta, config_file, out, fmt,
         raise ConfigError("braid schedules need a 2D model")
     ext = _parse_lattice(lattice, 2)
     t_list = _numbers("--times", times, "> 0")
+    for T in t_list:
+        if not math.isfinite(T / dt):
+            raise ConfigError(f"--times {T} / --dt {dt} is not finite")
     cfg = _normalized_config(task="braid", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), separation=separation,
                              times=t_list, dt=dt, core_scale=core_scale, format=fmt)
@@ -589,7 +595,7 @@ _RECIPES = {
 @click.argument("recipe", type=click.Choice(sorted(_RECIPES)))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=click.IntRange(min=1), default=1)
 def reproduce(recipe, out, fmt, jobs):
     """Re-run a canned figure recipe (gap/invariant sweep)."""
     spec = _RECIPES[recipe]

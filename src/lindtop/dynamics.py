@@ -19,13 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .majorana import (
-    Dissipator,
-    check_covariance,
-    default_tol,
-    pair_gamma_eigenvalues,
-)
+from .majorana import Dissipator, check_covariance, default_tol
 
 __all__ = [
     "DampingSpectrum",
@@ -248,16 +244,16 @@ def mode_census_and_bulk_edge_check(
     m_d = len(modes)
     m_d_edge = sum(1 for v in modes if _edge_weight(v, window) >= _EDGE_WEIGHT)
 
-    eps, planes = pair_gamma_eigenvalues(check_covariance(gamma))
-    zero_p = eps**2 <= _ZERO_PURITY
-    m_p = int(zero_p.sum())
-    m_p_edge = 0
-    for b in np.nonzero(zero_p)[0]:
-        plane_weight = 0.5 * (
-            _edge_weight(planes[b, :, 0], window) + _edge_weight(planes[b, :, 1], window)
-        )
-        if plane_weight >= _EDGE_WEIGHT:
-            m_p_edge += 1
+    # Consecutive eigenvectors of Gamma^T Gamma with eps^2 <= _ZERO_PURITY
+    # pair into the zero-purity planes; an odd count means the last plane
+    # straddles the threshold, and it counts with its one returned vector.
+    gamma = check_covariance(gamma)
+    w, vecs = eigh(gamma.T @ gamma, subset_by_value=(-np.inf, _ZERO_PURITY))
+    m_p = (w.size + 1) // 2
+    m_p_edge = sum(
+        1 for b in range(0, w.size, 2)
+        if np.mean([_edge_weight(v, window) for v in vecs.T[b:b + 2]]) >= _EDGE_WEIGHT
+    )
 
     census = ModeCensus(m_d, m_d_edge, m_p, m_p_edge)
     holds = (m_d_edge + m_p_edge) >= abs(int(nu_left) - int(nu_right))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lapack, schur, svdvals
+from scipy.linalg import lapack, svdvals
 
 __all__ = [
     "MajoranaIndexing",
@@ -32,7 +32,6 @@ __all__ = [
     "dirac_from_nambu",
     "build_dissipator",
     "anticommutator_table",
-    "pair_gamma_eigenvalues",
     "purity_spectrum",
     "purity_class",
     "check_covariance",
@@ -263,36 +262,6 @@ def check_covariance(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def pair_gamma_eigenvalues(gamma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonical pairing of a real antisymmetric matrix into 2x2 blocks.
-
-    Returns
-    -------
-    epsilons : (N,) ndarray
-        Nonnegative block magnitudes ``eps_n`` (eigenvalues come in pairs
-        ``+/- i eps_n``), sorted ascending.
-    planes : (2N, 2N) -> (N, 2N, 2) ndarray
-        Orthonormal real 2-frames spanning each eigenplane, ordered like
-        ``epsilons``.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n2 = gamma.shape[0]
-    if n2 % 2:
-        raise ValueError("antisymmetric pairing requires even dimension")
-    # Enforce exact antisymmetry so the real Schur form is block-diagonal.
-    A = 0.5 * (gamma - gamma.T)
-    T, Z = schur(A, output="real")
-    eps = np.empty(n2 // 2)
-    planes = np.empty((n2 // 2, n2, 2))
-    for b in range(n2 // 2):
-        i = 2 * b
-        eps[b] = abs(T[i, i + 1])
-        planes[b, :, 0] = Z[:, i]
-        planes[b, :, 1] = Z[:, i + 1]
-    order = np.argsort(eps, kind="stable")
-    return eps[order], planes[order]
-
-
 @dataclass(frozen=True)
 class PuritySpectrum:
     """Per-mode purity values ``eps_n^2`` (eigenvalues of ``(i Gamma)^2``).
@@ -326,8 +295,7 @@ def purity_spectrum(gamma: np.ndarray) -> PuritySpectrum:
     ``eigvalsh(-Gamma^2)`` has an absolute error of about machine epsilon in
     ``eps^2`` itself, so a quasi-zero purity near 1e-14 (the vortex modes)
     comes out wrong in its first digit.  The SVD has that error in ``eps``,
-    so ``eps^2`` keeps its relative accuracy and agrees with the real Schur
-    form of :func:`pair_gamma_eigenvalues`, at a third of its cost.
+    so ``eps^2`` keeps its relative accuracy.
     """
     gamma, tol = _antisymmetric_with_tol(gamma)
     sigma = np.sort(svdvals(gamma))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from lindtop.bloch import (
     BlochStencil,
@@ -31,7 +31,7 @@ from lindtop.braiding import (
 )
 from lindtop.dynamics import mode_census_and_bulk_edge_check, steady_state, zero_damping_modes
 from lindtop.edge import build_mode, fit_localization, solve_beta
-from lindtop.majorana import build_dissipator, check_covariance, pair_gamma_eigenvalues
+from lindtop.majorana import build_dissipator, check_covariance
 from lindtop.meanfield import fluctuation_scaling, solve_number_equation
 from lindtop.models import (
     VortexConfig,
@@ -238,7 +238,12 @@ def vortex_35():
     d = build_dissipator(fr.operators, num_majoranas=2 * L * L)
     res = steady_state(d)
     rates = smallest_damping_rates(fr, k=6)
-    eps, planes = pair_gamma_eigenvalues(check_covariance(res.gamma))
+    # The three lowest eigenplanes of Gamma: eigenvalues of Gamma^T Gamma come
+    # in degenerate pairs eps^2, and plane b is spanned by columns 2b, 2b+1.
+    gamma = check_covariance(res.gamma)
+    w, vecs = eigh(gamma.T @ gamma, subset_by_index=[0, 5])
+    eps = np.sqrt(np.clip(w[0::2], 0.0, None))
+    planes = vecs.reshape(-1, 3, 2).transpose(1, 0, 2)
     return {
         "L": L, "cores": cores, "fr": fr, "d": d,
         "gamma": res.gamma, "kernel": res.undetermined_basis,

@@ -132,6 +132,8 @@ def test_unknown_parameter_exits_2():
     ("braid", "--model", "cross2d", "--beta", "2", "--times", "5,{}"),
     ("braid", "--model", "cross2d", "--beta", "2", "--separation", "{}"),
     ("braid", "--model", "cross2d", "--beta", "2", "--core-scale", "{}"),
+    # Finite options whose step count T / dt overflows.
+    ("braid", "--model", "cross2d", "--beta", "2", "--times", "1e300", "--dt", "1e-10"),
 ])
 def test_non_finite_parameter_exits_2(args, value):
     res = run_cli(*(a.format(value) for a in args))
@@ -144,6 +146,21 @@ def test_non_positive_step_exits_2(option, value):
     res = run_cli("braid", "--model", "cross2d", "--beta", "2", option, value)
     assert res.exit_code == 2
     assert option in res.output and "> 0" in res.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (("vortex", "--model", "cross2d", "--beta", "2", "--separations", ""), "--separations"),
+    (("vortex", "--model", "cross2d", "--beta", "2", "--separations", ","), "--separations"),
+    (("braid", "--model", "cross2d", "--beta", "2", "--times", ","), "--times"),
+    (("edge-modes", "--model", "kitaev", "--phases", ","), "--phases"),
+    (("sweep", "--model", "three_site", "--sweep", "kappa=1,2", "--jobs", "0"), "--jobs"),
+    (("sweep", "--model", "three_site", "--sweep", "kappa=1,2", "--jobs", "-3"), "--jobs"),
+    (("reproduce", "fig-1d-example1", "--jobs", "0"), "--jobs"),
+])
+def test_empty_list_or_jobs_below_one_exits_2(args, option):
+    res = run_cli(*args)
+    assert res.exit_code == 2
+    assert option in res.output
 
 
 def test_bad_sweep_exits_2():
@@ -229,6 +246,15 @@ def test_vortex_small_lattice():
     _, header, rows = parse_csv(res.stdout)
     assert header == ["index", "damping_rate", "purity_value"]
     assert float(rows[0][1]) < 1e-4 and float(rows[1][1]) < 1e-4
+
+
+def test_vortex_lattice_with_fewer_than_six_modes():
+    # A 2x2 lattice has 8 Majoranas: 4 purity values, so 4 rows.
+    res = run_cli("vortex", "--model", "cross2d", "--beta", "2", "--lattice", "2x2",
+                  "--separation", "1")
+    assert res.exit_code == 0
+    _, _, rows = parse_csv(res.stdout)
+    assert len(rows) == 4
 
 
 def test_vortex_sparse_path_is_deterministic():

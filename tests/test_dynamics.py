@@ -15,7 +15,7 @@ from lindtop.dynamics import (
     zero_damping_modes,
 )
 from lindtop.majorana import build_dissipator, purity_spectrum
-from lindtop.models import three_site_wire
+from lindtop.models import three_site_wire, zigzag_coherent, zigzag_competing
 
 from conftest import random_anticommuting_family, random_generic_family
 
@@ -169,6 +169,23 @@ def test_mode_census_bulk_edge_three_site():
     )
     assert census.zero_damping_count == 4
     assert ok   # m_d + m_p >= |Delta nu| = 2
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("model", [
+    zigzag_coherent(0.4), zigzag_coherent(2.0), zigzag_competing(1.0), three_site_wire(1.5),
+], ids=["coherent-0.4", "coherent-2.0", "competing-1.0", "three-site-1.5"])
+def test_mode_census_counts_zero_purity_planes(model, boundary):
+    # These steady states have an exact kernel (eps = 0 planes); a window over
+    # the whole chain makes every zero-purity plane an edge plane.
+    for N in (20, 40, 60):
+        fr = model.finite_realization((N,), boundary=boundary)
+        d = build_dissipator(fr.operators, num_majoranas=2 * N)
+        gamma = steady_state(d).gamma
+        census, _ = mode_census_and_bulk_edge_check(d, gamma, 0, 0, range(2 * N))
+        expected = int((purity_spectrum(gamma).values <= 1e-6).sum())
+        assert census.zero_purity_count == expected, N
+        assert census.zero_purity_edge_count == expected, N
 
 
 def test_block_decoupling(rng):

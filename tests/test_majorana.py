@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import schur
 
 from lindtop.majorana import (
     Dissipator,
@@ -13,7 +14,6 @@ from lindtop.majorana import (
     default_tol,
     dirac_from_nambu,
     nambu_from_dirac,
-    pair_gamma_eigenvalues,
     purity_class,
     purity_spectrum,
 )
@@ -97,16 +97,6 @@ def test_purity_equivalence_property(seed, num_modes, num_ops):
     c1 = np.linalg.norm(db.X @ db.Y - db.Y @ db.X, 2)
     c2 = np.linalg.norm(db.X @ db.X + db.Y @ db.Y / 4.0, 2)
     assert max(c1, c2) > 1e-10
-
-
-def test_pair_gamma_eigenvalues_and_purity(rng):
-    ops = random_generic_family(rng, 4, 4)
-    gamma = steady_state(build_dissipator(ops)).gamma
-    eps, planes = pair_gamma_eigenvalues(gamma)
-    assert eps.shape == (4,) and planes.shape == (4, 8, 2)
-    spec = purity_spectrum(gamma)
-    assert np.allclose(np.sort(eps**2), spec.values, atol=1e-10)
-    assert np.all(spec.values >= 0) and np.all(spec.values <= 1 + 1e-12)
 
 
 def test_parent_hamiltonian_ground_state_is_dark():
@@ -218,6 +208,25 @@ def test_covariance_antisymmetry_defect_rejected(validate):
         validate(gamma)
 
 
+def _schur_eps(gamma):
+    """Ascending block magnitudes eps of the real Schur form of Gamma.
+
+    Walks the quasi-triangular T: a 2x2 block (nonzero subdiagonal) has the
+    eigenvalues +/- i eps, and 1x1 blocks are the exact kernel, two per
+    eps = 0.
+    """
+    T = schur(0.5 * (gamma - gamma.T), output="real")[0]
+    eps, ones, i = [], 0, 0
+    while i < T.shape[0]:
+        if i + 1 < T.shape[0] and T[i + 1, i] != 0.0:
+            eps.append(np.sqrt(abs(T[i, i + 1] * T[i + 1, i])))
+            i += 2
+        else:
+            ones += 1
+            i += 1
+    return np.sort(np.concatenate([eps, np.zeros(ones // 2)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 32), st.booleans())
 def test_purity_spectrum_matches_schur(seed, modes, pure):
@@ -229,7 +238,7 @@ def test_purity_spectrum_matches_schur(seed, modes, pure):
         eps = rng.uniform(0.0, 1.0, modes)
         eps[rng.random(modes) < 0.25] = 0.0
     gamma = _covariance(seed, eps)
-    schur_eps, _ = pair_gamma_eigenvalues(gamma)
+    schur_eps = _schur_eps(gamma)
     values = purity_spectrum(gamma).values
     assert np.allclose(values, schur_eps**2, rtol=0.0, atol=1e-12)
     assert np.allclose(values, np.sort(eps**2), rtol=0.0, atol=1e-12)
@@ -245,6 +254,6 @@ def test_vortex_pair_quasi_zero_purities_match_schur():
                                           vortices=cores)
     gamma = steady_state(build_dissipator(fr.operators, num_majoranas=2 * L * L)).gamma
     values = purity_spectrum(gamma).values[:2]
-    schur_eps, _ = pair_gamma_eigenvalues(gamma)
+    schur_eps = _schur_eps(gamma)
     assert np.all(values < 1e-8)
     assert np.allclose(values, schur_eps[:2] ** 2, rtol=1e-6, atol=0.0)
