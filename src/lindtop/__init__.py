@@ -2,16 +2,13 @@
 
 from .majorana import (
     Dissipator,
-    MajoranaIndexing,
     PuritySpectrum,
     build_dissipator,
-    dirac_from_nambu,
     nambu_from_dirac,
     purity_class,
     purity_spectrum,
 )
 from .dynamics import (
-    damping_spectrum,
     evolve,
     mode_census_and_bulk_edge_check,
     steady_state,
@@ -58,7 +55,6 @@ from .braiding import (
     adiabatic_evolve,
     braid_matrix,
     braid_via_schedule,
-    vector_potential,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,54 +27,11 @@ __all__ = [
     "AdiabaticResult",
     "vortex_exchange_path",
     "BraidWord",
-    "vector_potential",
     "adiabatic_evolve",
     "braid_matrix",
     "braid_via_schedule",
     "BraidReport",
 ]
-
-# ---------------------------------------------------------------------------
-# Vector potential of a moving frame
-# ---------------------------------------------------------------------------
-
-def vector_potential(frames: Sequence[np.ndarray], ds: Optional[float] = None) -> np.ndarray:
-    """Connection matrices ``A(s) = antisym(Q^T dQ/ds)`` of a frame path.
-
-    ``frames`` is a sequence of (n, M) orthonormal frames sampled uniformly
-    in s (spacing ``ds``, default 1/(S-1)).  Central differences in the
-    interior, one-sided at the endpoints; each A is explicitly
-    antisymmetrized (exact antisymmetry holds only in the continuum).
-
-    Raises ``ValueError`` when consecutive frames overlap too weakly
-    (min singular value of Q_s^T Q_{s+1} below 0.5): the path is
-    under-resolved and finite differences are meaningless.
-    """
-    Q = [np.asarray(f, float) for f in frames]
-    S = len(Q)
-    if S < 2:
-        raise ValueError("need at least two frames")
-    if ds is None:
-        ds = 1.0 / (S - 1)
-    for s in range(S - 1):
-        sv = np.linalg.svd(Q[s].T @ Q[s + 1], compute_uv=False)
-        if sv.min() < 0.5:
-            raise ValueError(
-                f"frame jump between steps {s} and {s + 1} "
-                f"(min overlap singular value {sv.min():.3f} < 0.5); use finer steps"
-            )
-    A = np.empty((S, Q[0].shape[1], Q[0].shape[1]))
-    for s in range(S):
-        if s == 0:
-            dQ = (Q[1] - Q[0]) / ds
-        elif s == S - 1:
-            dQ = (Q[-1] - Q[-2]) / ds
-        else:
-            dQ = (Q[s + 1] - Q[s - 1]) / (2 * ds)
-        raw = Q[s].T @ dQ
-        A[s] = 0.5 * (raw - raw.T)
-    return A
-
 
 # ---------------------------------------------------------------------------
 # Adiabatic integration with decoherence-free-subspace tracking

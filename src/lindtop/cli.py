@@ -290,29 +290,24 @@ def _sweep_rows(name, params, key, values, grid, tol, jobs) -> List[Tuple[object
 
 
 def _parse_sweep(spec: str) -> Tuple[str, List[float]]:
+    """Key and values of ``--sweep``; every number is read by :func:`_numbers`."""
     if "=" not in spec:
         raise ConfigError("--sweep expects key=start:stop:step or key=v1,v2,...")
     key, rng = spec.split("=", 1)
     key = key.strip()
-    if ":" in rng:
-        parts = rng.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--sweep range must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"non-numeric sweep range {rng!r}")
-        if not all(math.isfinite(p) for p in (start, stop, step)):
-            raise ConfigError(f"non-finite sweep range {rng!r}")
-        if step <= 0:
-            raise ConfigError("sweep step must be > 0")
-        n = int(round((stop - start) / step)) + 1
-        values = [start + i * step for i in range(n) if start + i * step <= stop + 1e-12]
-    else:
-        try:
-            values = [float(v) for v in rng.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"non-numeric sweep values {rng!r}")
+    if ":" not in rng:
+        return key, _numbers("--sweep", rng)
+    parts = rng.split(":")
+    if len(parts) != 3 or "," in rng:
+        raise ConfigError("--sweep range must be start:stop:step")
+    start, stop, step = (_numbers("--sweep", p)[0] for p in parts)
+    if step <= 0:
+        raise ConfigError("sweep step must be > 0")
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise ConfigError(f"--sweep range {rng!r} has a point count that is not finite")
+    n = int(round(count)) + 1
+    values = [start + i * step for i in range(n) if start + i * step <= stop + 1e-12]
     if not values:
         raise ConfigError("empty sweep")
     return key, values

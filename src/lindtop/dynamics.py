@@ -1,4 +1,4 @@
-"""Steady states, exact time evolution, damping spectra, and mode censuses.
+"""Steady states, exact time evolution, and mode censuses.
 
 Everything here works in the eigenbasis of the symmetric damping matrix
 ``X``: with eigenpairs ``(kappa_a, v_a)`` the flow
@@ -24,54 +24,19 @@ from scipy.linalg import eigh
 from .majorana import Dissipator, check_covariance, default_tol
 
 __all__ = [
-    "DampingSpectrum",
     "SteadyStateResult",
     "ModeCensus",
-    "BlockDecouplingReport",
-    "damping_spectrum",
     "steady_state",
     "evolve",
     "zero_damping_modes",
     "mode_census_and_bulk_edge_check",
-    "block_decoupling_check",
 ]
 
-# mode_census_and_bulk_edge_check: the share of a mode's weight inside the
-# edge window that makes it an edge mode, and the purity eps^2 counted as 0.
+# mode_census_and_bulk_edge_check: the eigenvalue of the window projector on
+# a zero-mode subspace that counts one edge mode, and the purity eps^2
+# counted as 0.
 _EDGE_WEIGHT = 0.9
 _ZERO_PURITY = 1e-6
-# block_decoupling_check: sample times of the flow and the largest drift of
-# the conserved block Gamma_pp.
-_DECOUPLING_TIMES = np.linspace(0.0, 20.0, 9)[1:]
-_DRIFT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DampingSpectrum:
-    """Sorted damping rates (eigenvalues of X) and the dissipative gap."""
-
-    rates: np.ndarray
-    dissipative_gap: float
-
-
-def damping_spectrum(d: Dissipator, bulk_selector: Optional[Sequence[int]] = None) -> DampingSpectrum:
-    """Eigenvalues of ``X`` ascending; gap = min over the selected indices.
-
-    Parameters
-    ----------
-    d : Dissipator
-    bulk_selector : sequence of int, optional
-        Indices into the ascending rate list over which the dissipative gap
-        is taken (used to exclude known edge modes); default all.
-    """
-    rates = np.linalg.eigvalsh(d.X)
-    rates = np.clip(rates, 0.0, None)
-    if bulk_selector is None:
-        gap = float(rates[0]) if rates.size else 0.0
-    else:
-        sel = np.asarray(list(bulk_selector), dtype=int)
-        gap = float(rates[sel].min()) if sel.size else 0.0
-    return DampingSpectrum(rates, gap)
 
 
 @dataclass(frozen=True)
@@ -94,11 +59,10 @@ class SteadyStateResult:
     residual: float
 
 
-def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     kappa, V = np.linalg.eigh(d.X)
     kappa = np.clip(kappa, 0.0, None)
-    tol = default_tol(d.X)
-    return kappa, V, kappa <= tol, tol
+    return kappa, V, kappa <= default_tol(d.X)
 
 
 def steady_state(
@@ -118,7 +82,7 @@ def steady_state(
         If ``Y`` does not vanish on a zero-rate block (inconsistent
         dissipator: fluctuations with no damping to balance them).
     """
-    kappa, V, zero, _ = _eigenbasis(d)
+    kappa, V, zero = _eigenbasis(d)
     Yt = V.T @ d.Y @ V
     S = kappa[:, None] + kappa[None, :]
     dead = zero[:, None] & zero[None, :]
@@ -173,27 +137,10 @@ def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
     return _evolve_in_basis(d, np.linalg.eigh(d.X), gamma0, t)
 
 
-def zero_damping_modes(
-    d: Dissipator,
-    lindblads: Optional[Sequence[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Orthonormal real basis of ker X (decoherence-free Majorana modes).
-
-    When the jump-operator vectors are supplied, each kernel vector ``v`` is
-    verified against the equivalent condition ``l_i . v = 0`` (plain dot).
-    """
-    kappa, V, zero, tol = _eigenbasis(d)
-    modes = [V[:, a].copy() for a in np.nonzero(zero)[0]]
-    if lindblads is not None and modes:
-        G = np.array([np.asarray(l, complex) for l in lindblads])
-        for v in modes:
-            worst = np.abs(G @ v).max() if G.size else 0.0
-            if worst > 100 * np.sqrt(tol):
-                raise ValueError(
-                    f"kernel vector violates l.v = 0 (max |l.v| = {worst:.3e}); "
-                    "supplied operators do not match the dissipator"
-                )
-    return modes
+def zero_damping_modes(d: Dissipator) -> List[np.ndarray]:
+    """Orthonormal real basis of ker X (decoherence-free Majorana modes)."""
+    _, V, zero = _eigenbasis(d)
+    return [V[:, a].copy() for a in np.nonzero(zero)[0]]
 
 
 @dataclass(frozen=True)
@@ -206,11 +153,15 @@ class ModeCensus:
     zero_purity_edge_count: int
 
 
-def _edge_weight(vec: np.ndarray, window: np.ndarray) -> float:
-    w = np.zeros(vec.shape[0], dtype=bool)
-    w[window] = True
-    total = float(np.sum(vec**2))
-    return float(np.sum(vec[w] ** 2) / total) if total > 0 else 0.0
+def _edge_count(basis: np.ndarray, window: np.ndarray) -> int:
+    """Eigenvalues of ``B^T P_W B`` at or above ``_EDGE_WEIGHT``.
+
+    ``B`` has orthonormal columns and ``window`` is a boolean row mask, so
+    ``B^T P_W B`` is the Gram matrix of the window rows of ``B``; its
+    spectrum depends on the span of ``B`` only, not on the basis chosen.
+    """
+    rows = basis[window]
+    return int((np.linalg.eigvalsh(rows.T @ rows) >= _EDGE_WEIGHT).sum())
 
 
 def mode_census_and_bulk_edge_check(
@@ -228,8 +179,12 @@ def mode_census_and_bulk_edge_check(
     nu_left, nu_right : int
         Bulk invariants on the two sides of the interface under test.
     edge_window : sequence of int
-        Majorana indices considered "edge"; a mode is edge-attributed when at
-        least 90% of its weight lies in the window.  A purity value
+        Majorana indices considered "edge".  With ``B`` an orthonormal basis
+        of ker X (or of the zero-purity subspace) and ``P_W`` the projector
+        on the window, each eigenvalue of ``B^T P_W B`` at or above 0.9
+        counts one edge Majorana; zero-purity edge Majoranas pair into
+        ``(count + 1) // 2`` planes.  The count does not depend on the basis
+        LAPACK returns for a degenerate kernel.  A purity value
         ``eps^2 <= 1e-6`` counts as zero.
 
     Returns
@@ -239,88 +194,20 @@ def mode_census_and_bulk_edge_check(
         ``m_damping + m_purity >= |nu_left - nu_right|`` evaluated on the
         edge-attributed counts.
     """
-    window = np.asarray(list(edge_window), dtype=int)
-    modes = zero_damping_modes(d)
-    m_d = len(modes)
-    m_d_edge = sum(1 for v in modes if _edge_weight(v, window) >= _EDGE_WEIGHT)
+    _, V, zero = _eigenbasis(d)
+    window = np.zeros(V.shape[0], dtype=bool)
+    window[list(edge_window)] = True
+    m_d = int(zero.sum())
+    m_d_edge = _edge_count(V[:, zero], window)
 
-    # Consecutive eigenvectors of Gamma^T Gamma with eps^2 <= _ZERO_PURITY
-    # pair into the zero-purity planes; an odd count means the last plane
-    # straddles the threshold, and it counts with its one returned vector.
+    # Eigenvectors of Gamma^T Gamma with eps^2 <= _ZERO_PURITY span the
+    # zero-purity planes; an odd count means the last plane straddles the
+    # threshold, and it counts with its one returned vector.
     gamma = check_covariance(gamma)
     w, vecs = eigh(gamma.T @ gamma, subset_by_value=(-np.inf, _ZERO_PURITY))
     m_p = (w.size + 1) // 2
-    m_p_edge = sum(
-        1 for b in range(0, w.size, 2)
-        if np.mean([_edge_weight(v, window) for v in vecs.T[b:b + 2]]) >= _EDGE_WEIGHT
-    )
+    m_p_edge = (_edge_count(vecs, window) + 1) // 2
 
     census = ModeCensus(m_d, m_d_edge, m_p, m_p_edge)
     holds = (m_d_edge + m_p_edge) >= abs(int(nu_left) - int(nu_right))
     return census, holds
-
-
-@dataclass(frozen=True)
-class BlockDecouplingReport:
-    """Numerical confirmation that an undriven block decouples from the flow."""
-
-    precondition_ok: bool
-    max_operator_weight_on_block: float
-    gamma_pp_drift: float
-    coherence_decay_ok: bool
-    passed: bool
-
-
-def block_decoupling_check(
-    d: Dissipator,
-    lindblads: Sequence[np.ndarray],
-    block: Sequence[int],
-) -> BlockDecouplingReport:
-    """Check that a block untouched by every jump operator is conserved.
-
-    If all operator vectors vanish on the index set ``p`` then ``Gamma_pp``
-    is a constant of motion and the cross block ``Gamma_pq`` decays at least
-    as fast as the smallest damping rate of the complement.  Both are
-    checked along the flow of one seeded random covariance, at eight times
-    up to t = 20; ``Gamma_pp`` may drift by at most 1e-9.
-
-    Parameters
-    ----------
-    block : sequence of int
-        Majorana indices of the putative decoupled block ``p``.
-    """
-    n = d.num_majoranas
-    p = np.asarray(sorted(set(int(i) for i in block)), dtype=int)
-    q = np.asarray(sorted(set(range(n)) - set(p.tolist())), dtype=int)
-    if p.size == 0:
-        return BlockDecouplingReport(True, 0.0, 0.0, True, True)
-    G = np.array([np.asarray(l, complex) for l in lindblads])
-    op_weight = float(np.abs(G[:, p]).max()) if G.size else 0.0
-    pre_ok = op_weight <= 1e-12
-
-    # Random valid covariance: antisymmetric part of a random orthogonal
-    # conjugation of a direct sum of rotation generators, scaled inside
-    # the purity ball.
-    rng = np.random.default_rng(7)
-    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    base = np.zeros((n, n))
-    for b in range(n // 2):
-        base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
-        base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
-    gamma0 = check_covariance(R @ base @ R.T)
-
-    Xqq = d.X[np.ix_(q, q)]
-    gap_q = float(np.linalg.eigvalsh(Xqq).min()) if q.size else 0.0
-
-    drift = 0.0
-    coher_ok = True
-    pq0 = np.linalg.norm(gamma0[np.ix_(p, q)])
-    eig = np.linalg.eigh(d.X)
-    for t in _DECOUPLING_TIMES:
-        g = _evolve_in_basis(d, eig, gamma0, float(t))
-        drift = max(drift, float(np.abs(g[np.ix_(p, p)] - gamma0[np.ix_(p, p)]).max()))
-        bound = pq0 * np.exp(-gap_q * t) * (1 + 1e-8) + 1e-12
-        if np.linalg.norm(g[np.ix_(p, q)]) > bound:
-            coher_ok = False
-    passed = pre_ok and drift <= _DRIFT_TOL and coher_ok
-    return BlockDecouplingReport(pre_ok, op_weight, drift, coher_ok, passed)

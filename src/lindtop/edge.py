@@ -298,7 +298,6 @@ class MajoranaMode:
 
     vector: np.ndarray
     residual: float
-    solution: BetaSolution
     edge: Tuple[int, ...]   # -1: low edge, +1: high edge, 0: delocalized
 
 
@@ -357,7 +356,7 @@ def build_mode(
         raise ValueError("mode amplitude vanished on the finite lattice")
     vec /= nrm
     residual = float(np.linalg.norm(realization.damping_matrix() @ vec))
-    return MajoranaMode(vec, residual, solution, tuple(edge))
+    return MajoranaMode(vec, residual, tuple(edge))
 
 
 def _open_directions(dim: int, boundary: str) -> Tuple[int, ...]:

@@ -24,12 +24,10 @@ import numpy as np
 from scipy.linalg import lapack, svdvals
 
 __all__ = [
-    "MajoranaIndexing",
     "Dissipator",
     "PuritySpectrum",
     "PurityClassification",
     "nambu_from_dirac",
-    "dirac_from_nambu",
     "build_dissipator",
     "anticommutator_table",
     "purity_spectrum",
@@ -73,35 +71,6 @@ def _is_positive_definite(A: np.ndarray) -> bool:
     return info == 0 and bool(np.isfinite(factor.diagonal()).all())
 
 
-class MajoranaIndexing:
-    """Bijection between lattice sites and interleaved Majorana indices.
-
-    Site ``n`` owns the index pair ``(2n, 2n+1)``: flavor 1 is
-    ``i(a - a^dag)`` and flavor 2 is ``a + a^dag``.
-    """
-
-    def __init__(self, num_sites: int):
-        if num_sites < 1:
-            raise ValueError(f"num_sites must be positive, got {num_sites}")
-        self.num_sites = int(num_sites)
-
-    @property
-    def num_majoranas(self) -> int:
-        return 2 * self.num_sites
-
-    def site_indices(self, site: int) -> Tuple[int, int]:
-        """Majorana index pair (flavor 1, flavor 2) of a site."""
-        if not 0 <= site < self.num_sites:
-            raise IndexError(f"site {site} out of range [0, {self.num_sites})")
-        return 2 * site, 2 * site + 1
-
-    def site_of(self, index: int) -> Tuple[int, int]:
-        """Inverse map: Majorana index -> (site, flavor) with flavor in {1, 2}."""
-        if not 0 <= index < self.num_majoranas:
-            raise IndexError(f"index {index} out of range [0, {self.num_majoranas})")
-        return index // 2, index % 2 + 1
-
-
 def nambu_from_dirac(annihilation: np.ndarray, creation: np.ndarray) -> np.ndarray:
     """Convert per-site Dirac coefficients to a Majorana coefficient vector.
 
@@ -125,16 +94,6 @@ def nambu_from_dirac(annihilation: np.ndarray, creation: np.ndarray) -> np.ndarr
     l[0::2] = 0.5j * (C - A)
     l[1::2] = 0.5 * (C + A)
     return l
-
-
-def dirac_from_nambu(l: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`nambu_from_dirac`: returns ``(annihilation, creation)``."""
-    l = np.asarray(l, dtype=complex)
-    if l.ndim != 1 or l.size % 2:
-        raise ValueError("Nambu vector must have even length")
-    A = l[1::2] + 1j * l[0::2]
-    C = l[1::2] - 1j * l[0::2]
-    return A, C
 
 
 @dataclass(frozen=True)
@@ -276,10 +235,6 @@ class PuritySpectrum:
         v = np.sort(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "purity_gap", float(v[0]) if v.size else 0.0)
-
-    @property
-    def is_pure(self) -> bool:
-        return bool(self.values.size) and bool(np.all(np.abs(self.values - 1.0) <= 1e-8))
 
 
 def purity_spectrum(gamma: np.ndarray) -> PuritySpectrum:

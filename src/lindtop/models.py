@@ -49,11 +49,19 @@ class VortexConfig:
     core_scale : float
         Length scale of the smooth core profile; 0 selects the point core
         f(r) = 1 for r > 0, f(0) = 0.
+
+    A ``center`` or ``core_scale`` that is not finite raises ``ValueError``.
     """
 
     center: Tuple[float, float]
     ell: int = 1
     core_scale: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(np.asarray(self.center, dtype=float)).all():
+            raise ValueError(f"vortex center {tuple(map(float, self.center))} is not finite")
+        if not math.isfinite(self.core_scale):
+            raise ValueError(f"vortex core_scale {self.core_scale!r} is not finite")
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)

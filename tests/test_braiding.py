@@ -1,4 +1,4 @@
-"""Braid algebra, vector potentials, and adiabatic transport."""
+"""Braid algebra and adiabatic transport."""
 
 import gc
 import weakref
@@ -13,7 +13,6 @@ from lindtop.braiding import (
     adiabatic_evolve,
     braid_matrix,
     braid_via_schedule,
-    vector_potential,
     vortex_exchange_path,
 )
 from lindtop.dynamics import evolve, steady_state
@@ -66,40 +65,6 @@ def test_braid_word_validation():
         BraidWord(((0, 0),), 3)
     with pytest.raises(ValueError):
         BraidWord(((0, 5),), 3)
-
-
-def test_vector_potential_static_frame():
-    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
-    A = vector_potential([Q] * 5)
-    assert np.abs(A).max() < 1e-14
-
-
-def test_vector_potential_rigid_rotation():
-    # A 2-mode frame rotating at angular rate omega has A = omega * J.
-    omega = 0.7
-    S = 201
-    ss = np.linspace(0.0, 1.0, S)
-    frames = []
-    base = np.eye(4)[:, :2]
-    G = np.zeros((4, 4))
-    G[0, 1], G[1, 0] = -1.0, 1.0
-    for s in ss:
-        frames.append(expm(omega * s * G) @ base)
-    A = vector_potential(frames, ds=ss[1] - ss[0])
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    interior = A[1:-1]
-    for a in interior[:: len(interior) // 5]:
-        assert np.allclose(a, omega * J, atol=1e-3) or np.allclose(a, -omega * J, atol=1e-3)
-    # Antisymmetry at every step.
-    assert max(np.linalg.norm(a + a.T, 2) for a in A) < 1e-12
-
-
-def test_vector_potential_frame_jump_rejected():
-    rng = np.random.default_rng(1)
-    Q1 = np.linalg.qr(rng.standard_normal((8, 2)))[0]
-    Q2 = np.linalg.qr(rng.standard_normal((8, 2)))[0]
-    with pytest.raises(ValueError):
-        vector_potential([Q1, Q2])
 
 
 def test_static_schedule_reproduces_evolve(rng):

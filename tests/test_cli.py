@@ -76,6 +76,15 @@ def test_sweep_keeps_purity_gap_when_only_the_invariant_fails():
     assert all(abs(float(r[2]) - 1.0) < 1e-12 for r in rows)
 
 
+def test_sweep_reads_pi():
+    # --sweep reads its numbers as the other numeric options do.
+    for spec in ("kappa=1,pi", "kappa=1:pi:2.141592653589793"):
+        res = run_cli("sweep", "--model", "three_site", "--sweep", spec, "--grid", "8")
+        assert res.exit_code == 0, res.output
+        _, _, rows = parse_csv(res.stdout)
+        assert [float(r[0]) for r in rows] == [1.0, math.pi]
+
+
 def test_sweep_json_structure():
     res = run_cli("sweep", "--model", "three_site", "--sweep", "kappa=0.5,1.5",
                   "--grid", "32", "--format", "json")
@@ -132,8 +141,9 @@ def test_unknown_parameter_exits_2():
     ("braid", "--model", "cross2d", "--beta", "2", "--times", "5,{}"),
     ("braid", "--model", "cross2d", "--beta", "2", "--separation", "{}"),
     ("braid", "--model", "cross2d", "--beta", "2", "--core-scale", "{}"),
-    # Finite options whose step count T / dt overflows.
+    # Finite options whose step or point count overflows.
     ("braid", "--model", "cross2d", "--beta", "2", "--times", "1e300", "--dt", "1e-10"),
+    ("sweep", "--model", "three_site", "--sweep", "kappa=0:1e300:1e-300"),
 ])
 def test_non_finite_parameter_exits_2(args, value):
     res = run_cli(*(a.format(value) for a in args))

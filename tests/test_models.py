@@ -299,3 +299,14 @@ def test_vortex_center_outside_lattice_rejected():
         insert_vortices(model, [VortexConfig((4.5, 9.5), 1)], (10, 10))
     # The boundary rows and columns themselves are inside.
     insert_vortices(model, [VortexConfig((0.0, 9.0), 1)], (10, 10))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(center=(math.nan, 4.0)), "center"),
+    (dict(center=(4.0, math.inf)), "center"),
+    (dict(center=(4.0, 4.0), core_scale=math.nan), "core_scale"),
+    (dict(center=(4.0, 4.0), core_scale=math.inf), "core_scale"),
+])
+def test_vortex_config_rejects_non_finite(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} .* is not finite"):
+        VortexConfig(**kwargs)
