@@ -29,11 +29,11 @@ from .models import (
     VortexConfig,
     cross_2d,
     cylinder_reduce,
-    insert_vortices,
     kitaev_wire,
     residual_damping_vs_separation,
     smallest_damping_rates,
     three_site_wire,
+    vortex_pair,
     zigzag_coherent,
     zigzag_competing,
 )

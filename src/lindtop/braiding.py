@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import _evolve_in_basis
-from .majorana import Dissipator, build_dissipator, default_tol
-from .models import VortexConfig
+from .majorana import Dissipator, default_tol
+from .models import vortex_pair
 
 __all__ = [
     "AdiabaticSchedule",
@@ -69,26 +69,18 @@ def vortex_exchange_path(model, lattice, separation: float,
                          core_scale: float) -> Callable[[float], Dissipator]:
     """``s -> Dissipator`` of two unit vortices exchanged by ``s = 1``.
 
-    At ``s`` the pair sits ``separation`` apart on a line through the centre
-    of ``lattice = (W, H)`` rotated by ``pi s``; open boundary, truncated
-    placement.  Each call builds a fresh dissipator and keeps no reference to
-    it: a schedule asks for every ramp time once, so a memo would only hold
-    the whole path in memory.  Raises ``ValueError`` when that circle leaves
-    the lattice.
+    At ``s`` the pair is :func:`~lindtop.models.vortex_pair` at angle ``pi s``
+    on ``lattice = (W, H)``.  Each call builds a fresh dissipator and keeps no
+    reference to it: a schedule asks for every ramp time once, so a memo would
+    only hold the whole path in memory.  Raises ``ValueError`` when that
+    circle leaves the lattice.
     """
-    W, H = lattice
-    cx, cy = (W - 1) / 2, (H - 1) / 2
-    if abs(separation) / 2 > min(cx, cy):
+    if abs(separation) > min(lattice) - 1:
         raise ValueError(f"exchange circle of separation {separation} leaves lattice {lattice}")
 
     def diss_at(s: float) -> Dissipator:
-        dx = separation / 2 * math.cos(math.pi * s)
-        dy = separation / 2 * math.sin(math.pi * s)
-        vs = [VortexConfig((cx - dx, cy - dy), 1, core_scale=core_scale),
-              VortexConfig((cx + dx, cy + dy), 1, core_scale=core_scale)]
-        fr = model.finite_realization(lattice, boundary="open", placement="truncated",
-                                      vortices=vs)
-        return build_dissipator(fr.operators, num_majoranas=2 * W * H)
+        return vortex_pair(model, lattice, separation, math.pi * s,
+                           core_scale=core_scale).dissipator()
 
     return diss_at
 

@@ -32,15 +32,15 @@ from .bloch import (
     windings_around_u_zeros,
 )
 from .edge import build_mode, fit_localization, solve_beta
-from .majorana import build_dissipator, purity_spectrum
+from .majorana import purity_spectrum
 from .dynamics import steady_state
 from .models import (
-    VortexConfig,
     cross_2d,
     kitaev_wire,
     residual_damping_vs_separation,
     smallest_damping_rates,
     three_site_wire,
+    vortex_pair,
     zigzag_coherent,
     zigzag_competing,
 )
@@ -48,6 +48,8 @@ from .models import (
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+MAX_SWEEP_POINTS = 10_000    # most points of one --sweep range; the recipes use 81 and 61
 
 _MODELS = {
     "kitaev_wire": (kitaev_wire, ()),
@@ -307,6 +309,9 @@ def _parse_sweep(spec: str) -> Tuple[str, List[float]]:
     if not math.isfinite(count):
         raise ConfigError(f"--sweep range {rng!r} has a point count that is not finite")
     n = int(round(count)) + 1
+    if n > MAX_SWEEP_POINTS:
+        raise ConfigError(f"--sweep range {rng!r} has {count + 1:.15g} points, "
+                          f"more than the cap of {MAX_SWEEP_POINTS}")
     values = [start + i * step for i in range(n) if start + i * step <= stop + 1e-12]
     if not values:
         raise ConfigError("empty sweep")
@@ -514,18 +519,12 @@ def vortex(model_name, param, kappa, beta, config_file, out, fmt,
     cfg = _normalized_config(task="vortex", model=model_name, params=params,
                              lattice="x".join(map(str, ext)), separation=separation,
                              vorticity=vorticity, format=fmt)
-    cx, cy = (ext[0] - 1) / 2, (ext[1] - 1) / 2
-    vs = [
-        VortexConfig((cx - separation / 2, cy), vorticity),
-        VortexConfig((cx + separation / 2, cy), vorticity),
-    ]
     try:
-        fr = model.finite_realization(ext, boundary="open", placement="truncated", vortices=vs)
+        fr = vortex_pair(model, ext, separation, ell=vorticity)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rates = smallest_damping_rates(fr, k=6)
-    d = build_dissipator(fr.operators, num_majoranas=2 * ext[0] * ext[1])
-    gamma = steady_state(d).gamma
+    gamma = steady_state(fr.dissipator()).gamma
     purities = purity_spectrum(gamma).values[:6]
     rows = [(i, float(r), float(p)) for i, r, p in zip(range(6), rates, purities)]
     _write_table(out, fmt, cfg, ["index", "damping_rate", "purity_value"], rows)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack, svdvals
 
 __all__ = [
@@ -145,10 +146,23 @@ class Dissipator:
         return self.X.shape[0]
 
 
+def _gram(G: sp.csr_matrix, dense: bool = True):
+    """The finite layer's one Gram product ``M = G^H G = sum_i conj(l_i) (x) l_i``.
+
+    Rows of the CSR ``G`` are the ``l_i``.  Returns the :class:`Dissipator`
+    ``(2 Re M, -4 Im M)``, or with ``dense=False`` the sparse ``X = 2 Re M``.
+    """
+    M = G.conj().T @ G
+    if not dense:
+        return (2.0 * M.real).tocsr()
+    M = M.toarray()
+    return Dissipator(2.0 * M.real, -4.0 * M.imag)
+
+
 def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[int] = None) -> Dissipator:
     """Build ``(X, Y)`` from a list of jump-operator coefficient vectors.
 
-    ``M = sum_i conj(l_i) (x) l_i``, ``X = 2 Re M``, ``Y = -4 Im M``.
+    The vectors are stacked into one CSR matrix ``G`` and passed to :func:`_gram`.
 
     Parameters
     ----------
@@ -160,20 +174,15 @@ def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[in
         explicit dimension).
     """
     vecs = [np.asarray(l, dtype=complex) for l in lindblads]
-    if not vecs:
-        if num_majoranas is None:
-            raise ValueError("empty operator list requires explicit num_majoranas")
-        n = int(num_majoranas)
-        return Dissipator(np.zeros((n, n)), np.zeros((n, n)))
-    n = vecs[0].size
+    if not vecs and num_majoranas is None:
+        raise ValueError("empty operator list requires explicit num_majoranas")
+    n = vecs[0].size if vecs else int(num_majoranas)
     for i, v in enumerate(vecs):
         if v.ndim != 1 or v.size != n:
             raise ValueError(f"operator {i} has shape {v.shape}, expected ({n},)")
-    if n < 2 or n % 2:
+    if vecs and (n < 2 or n % 2):
         raise ValueError(f"Majorana dimension must be even and >= 2, got {n}")
-    G = np.array(vecs)                     # rows are the l_i
-    M = G.conj().T @ G                     # sum_i conj(l_i) (x) l_i
-    return Dissipator(2.0 * M.real, -4.0 * M.imag)
+    return _gram(sp.csr_matrix(np.array(vecs, dtype=complex).reshape(len(vecs), n)))
 
 
 def anticommutator_table(lindblads: Sequence[np.ndarray]) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bloch import RATE_SCALE, BlochStencil
+from .majorana import Dissipator, _gram
 
 __all__ = [
     "ModelInstance",
@@ -29,7 +30,7 @@ __all__ = [
     "zigzag_competing",
     "cross_2d",
     "cylinder_reduce",
-    "insert_vortices",
+    "vortex_pair",
     "smallest_damping_rates",
     "SeparationSweep",
     "residual_damping_vs_separation",
@@ -77,9 +78,9 @@ class FiniteRealization:
     Row ``i`` of the CSR matrix ``G`` is the Majorana coefficient vector
     ``l_i`` of jump operator ``i`` (one column per Majorana).  Rows follow the
     lattice anchors in ``np.ndindex`` order and the model's families inside
-    each anchor; all-zero operators are dropped.  The dense ``(X, Y)`` of
-    :func:`~lindtop.majorana.build_dissipator` (from :attr:`operators`) and
-    the sparse :meth:`damping_matrix` both derive from ``G``.
+    each anchor; all-zero operators are dropped.  The dense :meth:`dissipator`
+    and the sparse :meth:`damping_matrix` both come from the one Gram product
+    ``G^H G`` of :func:`~lindtop.majorana._gram`.
     """
 
     G: sp.csr_matrix
@@ -90,9 +91,13 @@ class FiniteRealization:
         """The rows of ``G`` as dense (2N,) complex vectors."""
         return list(self.G.toarray())
 
+    def dissipator(self) -> Dissipator:
+        """Dense ``(X, Y)`` of ``G``, of dimension ``G.shape[1]`` even with no rows."""
+        return _gram(self.G)
+
     def damping_matrix(self) -> sp.csr_matrix:
-        """Sparse damping matrix ``X = 2 Re(G^H G)``, one sparse product."""
-        return (2.0 * (self.G.conj().T @ self.G).real).tocsr()
+        """Sparse damping matrix ``X = 2 Re(G^H G)``."""
+        return _gram(self.G, dense=False)
 
     def positions(self) -> np.ndarray:
         """(N, d) array of site coordinates in site-id order."""
@@ -349,25 +354,26 @@ def cylinder_reduce(model: ModelInstance, circumference: int, k_y: float) -> Mod
     return ModelInstance(model.name, {**model.parameters, "k_y": k_y}, tuple(families))
 
 
-def insert_vortices(
-    model: ModelInstance,
-    vortices: Sequence[VortexConfig],
-    lattice,
-    boundary: str = "open",
-    placement: str = "truncated",
-) -> FiniteRealization:
-    """Finite jump-operator set of a 2D model threaded by vortices.
+def vortex_pair(model: ModelInstance, lattice: Tuple[int, int], separation: float,
+                angle: float = 0.0, ell: int = 1, core_scale: float = 0.0) -> FiniteRealization:
+    """Two equal vortices at ``((W-1)/2 -+ dx, (H-1)/2 -+ dy)`` on ``lattice = (W, H)``.
 
-    ``lattice`` is ``L`` (an L x L square) or ``(W, H)``.  Truncated
-    placement is the default here: every site carries an operator so the
-    only surviving quasi-zero damping modes are the vortex-bound ones.
+    ``(dx, dy) = separation/2 (cos angle, sin angle)``.  Open boundary and
+    truncated placement: every site carries an operator, so the only
+    quasi-zero damping modes are the vortex-bound ones.  A core outside the
+    lattice raises ``ValueError``.
     """
-    ext = (lattice, lattice) if np.isscalar(lattice) else lattice
-    return model.finite_realization(ext, boundary=boundary, placement=placement, vortices=vortices)
+    W, H = lattice
+    cx, cy = (W - 1) / 2, (H - 1) / 2
+    dx, dy = separation / 2 * math.cos(angle), separation / 2 * math.sin(angle)
+    vs = [VortexConfig((cx - dx, cy - dy), ell, core_scale),
+          VortexConfig((cx + dx, cy + dy), ell, core_scale)]
+    return model.finite_realization((W, H), boundary="open", placement="truncated", vortices=vs)
 
 
 def smallest_damping_rates(real: FiniteRealization, k: int = 6) -> np.ndarray:
-    """k smallest damping rates via sparse shift-invert, ascending."""
+    """k smallest damping rates, ascending: a dense ``eigvalsh`` of the damping
+    matrix up to 512 Majoranas, a sparse shift-invert ``eigsh`` above that."""
     X = real.damping_matrix()
     n = X.shape[0]
     if n <= 512:
@@ -398,23 +404,17 @@ def residual_damping_vs_separation(
 ) -> SeparationSweep:
     """Rate of the slower-decaying vortex-pair mode as a function of distance.
 
-    Two point-core vortices are placed symmetrically about the lattice
-    center; for each separation the second-smallest damping eigenvalue (the
+    For each separation a :func:`vortex_pair` of point cores along x is
+    placed on the L x L lattice, the second-smallest damping eigenvalue (the
     larger of the two hybridized core-mode rates) is recorded, and
     ``log rate`` is fitted linearly against separation over the monotone
     initial branch.
     """
     model = cross_2d(beta)
-    cy = (lattice - 1) / 2.0
-    cx = (lattice - 1) / 2.0
     ds = np.asarray(list(separations), dtype=float)
     rates = np.empty_like(ds)
     for i, d in enumerate(ds):
-        vs = [
-            VortexConfig((cx - d / 2.0, cy), ell),
-            VortexConfig((cx + d / 2.0, cy), ell),
-        ]
-        real = insert_vortices(model, vs, (lattice, lattice))
+        real = vortex_pair(model, (lattice, lattice), d, ell=ell)
         rates[i] = smallest_damping_rates(real, k=4)[1]
 
     # Monotone branch: longest decreasing prefix of the rate sequence.

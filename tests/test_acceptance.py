@@ -34,14 +34,13 @@ from lindtop.edge import build_mode, fit_localization, solve_beta
 from lindtop.majorana import build_dissipator, check_covariance
 from lindtop.meanfield import fluctuation_scaling, solve_number_equation
 from lindtop.models import (
-    VortexConfig,
     cross_2d,
     cylinder_reduce,
-    insert_vortices,
     kitaev_wire,
     residual_damping_vs_separation,
     smallest_damping_rates,
     three_site_wire,
+    vortex_pair,
     zigzag_coherent,
     zigzag_competing,
 )
@@ -234,8 +233,8 @@ def vortex_35():
     L, sep = 35, 16.0
     cx = cy = (L - 1) / 2.0
     cores = [(cx - sep / 2.0, cy), (cx + sep / 2.0, cy)]
-    fr = insert_vortices(cross_2d(2.0), [VortexConfig(p, 1) for p in cores], (L, L))
-    d = build_dissipator(fr.operators, num_majoranas=2 * L * L)
+    fr = vortex_pair(cross_2d(2.0), (L, L), sep)
+    d = fr.dissipator()
     res = steady_state(d)
     rates = smallest_damping_rates(fr, k=6)
     # The three lowest eigenplanes of Gamma: eigenvalues of Gamma^T Gamma come

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lindtop.cli import main
+from lindtop.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -176,6 +176,21 @@ def test_empty_list_or_jobs_below_one_exits_2(args, option):
 def test_bad_sweep_exits_2():
     res = run_cli("sweep", "--model", "three_site", "--sweep", "kappa=0:4:-1")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("spec, count", [("kappa=0:1e300:1", "1e+300"),
+                                         ("kappa=0:1e6:1", "1000001")])
+def test_sweep_over_point_cap_exits_2(spec, count):
+    # Refused while parsing, before any value is built or any row runs.
+    res = run_cli("sweep", "--model", "three_site", "--sweep", spec)
+    assert res.exit_code == 2
+    assert "--sweep" in res.output and f"{count} points" in res.output
+    assert str(MAX_SWEEP_POINTS) in res.output
+
+
+def test_sweep_at_point_cap_is_accepted():
+    _, values = _parse_sweep(f"kappa=0:{MAX_SWEEP_POINTS - 1}:1")
+    assert len(values) == MAX_SWEEP_POINTS
 
 
 def test_gap_closure_exits_3():

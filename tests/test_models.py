@@ -22,11 +22,11 @@ from lindtop.models import (
     VortexConfig,
     cross_2d,
     cylinder_reduce,
-    insert_vortices,
     kitaev_wire,
     residual_damping_vs_separation,
     smallest_damping_rates,
     three_site_wire,
+    vortex_pair,
     zigzag_coherent,
     zigzag_competing,
 )
@@ -149,7 +149,8 @@ def test_vortex_zero_ell_is_punched_hole():
 def test_vortex_on_site_kills_on_center_annihilation():
     model = cross_2d(2.0)
     L = 9
-    frv = insert_vortices(model, [VortexConfig((4.0, 4.0), 1)], (L, L))
+    frv = model.finite_realization((L, L), placement="truncated",
+                                   vortices=[VortexConfig((4.0, 4.0), 1)])
     # The operator centered on the vortex site has zero annihilation weight
     # at the core (f(0) = 0) but keeps its creation part.
     assert len(frv.operators) == L * L
@@ -235,8 +236,14 @@ def _assert_matches_reference(model, ext, boundary, placement, vortices=()):
     assert len(fr.operators) == len(ref)
     assert all(np.array_equal(l, g) for l, g in zip(fr.operators, G))
     n = 2 * int(np.prod(ext))
-    X = build_dissipator(fr.operators, num_majoranas=n).X
+    listed = build_dissipator(fr.operators, num_majoranas=n)
+    X = listed.X
     assert np.abs(fr.damping_matrix().toarray() - X).max() <= default_tol(X)
+    d = fr.dissipator()
+    assert np.array_equal(d.X, listed.X) and np.array_equal(d.Y, listed.Y)
+    M = ref.conj().T @ ref                 # dense reference Gram product
+    assert np.abs(d.X - 2.0 * M.real).max() <= default_tol(d.X)
+    assert np.abs(d.Y + 4.0 * M.imag).max() <= default_tol(d.Y)
     return fr
 
 
@@ -296,9 +303,11 @@ def test_vortex_center_outside_lattice_rejected():
         model.finite_realization((10, 10), placement="truncated",
                                  vortices=[VortexConfig((-10.5, 4.5), 1)])
     with pytest.raises(ValueError, match="outside lattice"):
-        insert_vortices(model, [VortexConfig((4.5, 9.5), 1)], (10, 10))
+        model.finite_realization((10, 10), placement="truncated",
+                                 vortices=[VortexConfig((4.5, 9.5), 1)])
     # The boundary rows and columns themselves are inside.
-    insert_vortices(model, [VortexConfig((0.0, 9.0), 1)], (10, 10))
+    model.finite_realization((10, 10), placement="truncated",
+                             vortices=[VortexConfig((0.0, 9.0), 1)])
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -310,3 +319,52 @@ def test_vortex_center_outside_lattice_rejected():
 def test_vortex_config_rejects_non_finite(kwargs, name):
     with pytest.raises(ValueError, match=f"{name} .* is not finite"):
         VortexConfig(**kwargs)
+
+
+def test_empty_realization_dissipator_is_zero():
+    # The three-site stencil does not fit inside two open sites: G has no rows.
+    fr = three_site_wire(1.0).finite_realization((2,), boundary="open")
+    assert fr.G.shape == (0, 4)
+    d = fr.dissipator()
+    assert d.X.shape == (4, 4) and not d.X.any() and not d.Y.any()
+
+
+def _assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ell", [1, 2, -1])
+def test_vortex_pair_matches_hand_layout_at_angle_zero(ell):
+    # The pair along x about the centre, as the vortex CLI and the separation
+    # sweep laid it out by hand.
+    model, L, d = cross_2d(2.0), 15, 8.0
+    c = (L - 1) / 2.0
+    hand = model.finite_realization(
+        (L, L), boundary="open", placement="truncated",
+        vortices=[VortexConfig((c - d / 2.0, c), ell), VortexConfig((c + d / 2.0, c), ell)],
+    )
+    _assert_same_csr(vortex_pair(model, (L, L), d, ell=ell).G, hand.G)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.8, 1.0])
+def test_vortex_pair_matches_exchange_layout(s):
+    # The pair rotated by pi s with smooth cores, as the exchange path laid it out.
+    model, (W, H), sep, core = cross_2d(2.0), (14, 12), 7.0, 0.7
+    cx, cy = (W - 1) / 2, (H - 1) / 2
+    dx = sep / 2 * math.cos(math.pi * s)
+    dy = sep / 2 * math.sin(math.pi * s)
+    hand = model.finite_realization(
+        (W, H), boundary="open", placement="truncated",
+        vortices=[VortexConfig((cx - dx, cy - dy), 1, core_scale=core),
+                  VortexConfig((cx + dx, cy + dy), 1, core_scale=core)],
+    )
+    _assert_same_csr(vortex_pair(model, (W, H), sep, math.pi * s, core_scale=core).G, hand.G)
+
+
+def test_vortex_pair_core_outside_lattice_rejected():
+    with pytest.raises(ValueError, match="outside lattice"):
+        vortex_pair(cross_2d(2.0), (10, 10), 12.0)
+    with pytest.raises(ValueError, match="outside lattice"):
+        vortex_pair(cross_2d(2.0), (10, 6), 8.0, math.pi / 2)
