@@ -16,11 +16,14 @@ Majorana blocks of Prosen, "Third quantization", New J. Phys. 10, 043026
 (2008), are ``A (+) conj(A)`` and its partners up to one fixed unitary).
 One elementwise kernel (one phase table ``e^{-ik.r}`` per family and grid,
 which with the conjugate coefficients also gives the symbols at ``-k``)
-builds A and D.  Closed forms then give :func:`sector_rates` (the
-eigenvalues of A) and :func:`momentum_state` (H, written out as the 2x2
-flavor-basis correlation matrix ``Gamma(k)``, with flavors
-``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``); :func:`bloch_blocks` embeds the
-same blocks in the 4x4 Majorana basis.  The flattened unit-vector field
+builds A and D.  The table is a product of per-axis factors: one exponential
+``e^{-i|r_a| k_a}`` per axis and distinct nonzero ``|r_a|``, read conjugated
+for ``r_a < 0``, so a nearest-neighbour 2D stencil costs two exponentials
+per k whatever its number of offsets.  Closed forms then give
+:func:`sector_rates` (the eigenvalues of A) and :func:`momentum_state` (H,
+written out as the 2x2 flavor-basis correlation matrix ``Gamma(k)``, with
+flavors ``c_1 = a^dag + a``, ``c_2 = i(a^dag - a)``); :func:`bloch_blocks`
+embeds the same blocks in the 4x4 Majorana basis.  The flattened unit-vector field
 ``n(k)`` with ``i Gamma_bar(k) = n(k).sigma`` feeds the winding-number and
 Chern-number invariants, and a thin SVD of its samples gives the chiral axis.
 """
@@ -67,6 +70,8 @@ _CLASS_NK = {1: 128, 2: 48}
 # _confirm_u_zero: refinement levels, subgrid points per axis, and the
 # fraction of max |u| below which |u| counts as a zero.
 _ZERO_LEVELS, _ZERO_SUBGRID, _ZERO_REL_TOL = 4, 9, 1e-2
+# Largest distance of a winding or Chern sum from its nearest integer.
+_INTEGRAL_TOL = 1e-6
 
 
 class GapClosedError(ValueError):
@@ -121,19 +126,40 @@ class BlochStencil:
             object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def _phases(self, k: np.ndarray) -> np.ndarray:
-        """e^{-i k.r} for every offset; k has shape (..., dim)."""
-        R = np.array(self.offsets, dtype=float)            # (m, dim)
-        return np.exp(-1j * np.tensordot(k, R.T, axes=1))  # (..., m)
+        """e^{-i k.r} for every offset, offset axis first: shape (m,) + k.shape[:-1].
+
+        Built from per-axis factors: one exponential table e^{-i|r_a| k_a} per
+        axis a and distinct nonzero |r_a|, its conjugate for r_a < 0 (k is
+        real), and for each offset the product of its axis factors.  A 2D
+        stencil with |r_a| <= 1 takes two exponentials per k, not one per offset.
+        """
+        tables = {}
+        for a in range(self.dim):
+            col = {r[a] for r in self.offsets}
+            for m in {abs(x) for x in col} - {0}:
+                tables[a, m] = np.exp(-1j * (m * k[..., a]))
+                if -m in col:
+                    tables[a, -m] = tables[a, m].conj()
+        out = np.empty((len(self.offsets),) + k.shape[:-1], dtype=complex)
+        for j, r in enumerate(self.offsets):
+            factors = [tables[a, x] for a, x in enumerate(r) if x]
+            if not factors:
+                out[j] = 1.0
+            elif len(factors) == 1:
+                out[j] = factors[0]
+            else:
+                np.multiply(*factors, out=out[j])
+        return out
 
     def u_symbol(self, k) -> np.ndarray:
         """u(k) = -sum_r u_r e^{-i k.r} (coefficient of ``a_{-k}`` in -L_k)."""
         k = _as_kvec(k, self.dim)
-        return -(self._phases(k) @ np.array(self.u))
+        return -np.tensordot(self.u, self._phases(k), axes=1)
 
     def v_symbol(self, k) -> np.ndarray:
         """v(k) = sum_r v_r e^{-i k.r} (coefficient of ``a_k^dag`` in L_k)."""
         k = _as_kvec(k, self.dim)
-        return self._phases(k) @ np.array(self.v)
+        return np.tensordot(self.v, self._phases(k), axes=1)
 
     def is_pure_capable(self) -> bool:
         """True when u is odd and v even about a symmetry center."""
@@ -237,12 +263,13 @@ def _nambu_blocks(fams, k: np.ndarray):
     for w, st in fams:
         u, v = np.array(st.u), np.array(st.v)
         coef = RATE_SCALE * np.sqrt(w) * np.stack([u, v, u.conj(), v.conj()], axis=-1)
-        sym = st._phases(k) @ coef   # -u(k), v(k), -conj(u(-k)), conj(v(-k)), scaled
+        # -u(k), v(k), -conj(u(-k)), conj(v(-k)), scaled, along the first axis
+        sym = np.tensordot(coef, st._phases(k), axes=(0, 0))
         sq = sq + (sym.real**2 + sym.imag**2)
-        gain = gain + sym[..., 1] * sym[..., 0].conj()     # (P_g)_12
-        loss = loss + sym[..., 2] * sym[..., 3].conj()     # (P_l)_12
-    return (0.5 * (sq[..., 2] + sq[..., 1]), 0.5 * (sq[..., 3] + sq[..., 0]), 0.5 * (loss + gain),
-            sq[..., 2] - sq[..., 1], sq[..., 3] - sq[..., 0], loss - gain)
+        gain = gain + sym[1] * sym[0].conj()     # (P_g)_12
+        loss = loss + sym[2] * sym[3].conj()     # (P_l)_12
+    return (0.5 * (sq[2] + sq[1]), 0.5 * (sq[3] + sq[0]), 0.5 * (loss + gain),
+            sq[2] - sq[1], sq[3] - sq[0], loss - gain)
 
 
 def _nambu_rates(a11, a22, a12):
@@ -508,21 +535,36 @@ def winding_number(flat: FlattenedState) -> int:
         )
     total = float(d.sum() / (2 * np.pi))
     nu = int(round(total))
-    if abs(total - nu) > 1e-6:
+    if abs(total - nu) > _INTEGRAL_TOL:
         raise ValueError(f"winding {total} is not integral; refine the grid")
     return nu
 
 
-def _solid_angle(n1, n2, n3) -> np.ndarray:
-    """Oriented solid angle of the spherical triangle (n1, n2, n3)."""
-    num = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", n1, n2)
-        + np.einsum("...i,...i->...", n2, n3)
-        + np.einsum("...i,...i->...", n3, n1)
-    )
-    return 2.0 * np.arctan2(num, den)
+def _chern_sum(n: np.ndarray) -> float:
+    """Oriented sphere area swept by the field n (nx, ny, 3), in units of 4*pi.
+
+    Each plaquette contributes two spherical triangles; a triangle (a, b, c)
+    spans the solid angle ``2 atan2(a.(b x c), 1 + a.b + b.c + c.a)``,
+    written out on component arrays.
+    """
+    n00 = np.moveaxis(n, -1, 0)                 # components first: (3, nx, ny)
+    n10 = np.roll(n00, -1, axis=1)
+    n01 = np.roll(n00, -1, axis=2)
+    n11 = np.roll(n10, -1, axis=2)
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def triple(a, b, c):   # a.(b x c)
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    diag = dot(n00, n11)
+    half_omega = (np.arctan2(triple(n00, n10, n11), 1.0 + dot(n00, n10) + dot(n10, n11) + diag)
+                  + np.arctan2(triple(n00, n11, n01), 1.0 + diag + dot(n11, n01) + dot(n01, n00)))
+    # Orientation fixed so that the Chern number equals the total phase
+    # winding of u(k) around its zeros (see windings_around_u_zeros).
+    return float(-half_omega.sum() / (2 * np.pi))
 
 
 def chern_number(flat: FlattenedState) -> int:
@@ -535,16 +577,9 @@ def chern_number(flat: FlattenedState) -> int:
     n = flat.n
     if n.ndim != 3:
         raise ValueError("chern_number requires a 2D k-grid")
-    n00 = n
-    n10 = np.roll(n, -1, axis=0)
-    n11 = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
-    n01 = np.roll(n, -1, axis=1)
-    omega = _solid_angle(n00, n10, n11) + _solid_angle(n00, n11, n01)
-    # Orientation fixed so that the Chern number equals the total phase
-    # winding of u(k) around its zeros (see windings_around_u_zeros).
-    total = float(-omega.sum() / (4 * np.pi))
+    total = _chern_sum(n)
     nu = int(round(total))
-    if abs(total - nu) > 1e-6:
+    if abs(total - nu) > _INTEGRAL_TOL:
         raise ValueError(f"Chern sum {total} is not integral; refine the grid")
     return nu
 

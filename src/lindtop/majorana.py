@@ -171,12 +171,15 @@ def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[in
         absorbed into the vectors (no separate rate argument).
     num_majoranas : int, optional
         Required when ``lindblads`` is empty (the zero dissipator needs an
-        explicit dimension).
+        explicit dimension); otherwise, when given, it must equal the length
+        of the vectors.
     """
     vecs = [np.asarray(l, dtype=complex) for l in lindblads]
     if not vecs and num_majoranas is None:
         raise ValueError("empty operator list requires explicit num_majoranas")
     n = vecs[0].size if vecs else int(num_majoranas)
+    if num_majoranas is not None and int(num_majoranas) != n:
+        raise ValueError(f"num_majoranas = {num_majoranas}, but the operators have length {n}")
     for i, v in enumerate(vecs):
         if v.ndim != 1 or v.size != n:
             raise ValueError(f"operator {i} has shape {v.shape}, expected ({n},)")

@@ -18,6 +18,8 @@ from lindtop.bloch import (
     sector_rates,
     winding_number,
     windings_around_u_zeros,
+    _as_kvec,
+    _chern_sum,
     _chiral_frame,
     _nambu_steady,
 )
@@ -357,6 +359,82 @@ def test_chern_matches_u_zero_sum_on_nonlocal_oracle():
         [2 * v * u.real / N2, 2 * v * u.imag / N2, (np.abs(u) ** 2 - v**2) / N2], -1
     )
     assert chern_number(flattened_from_n(ks, n)) == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.sampled_from([1, 2]), strategies.booleans())
+def test_phase_table_matches_direct_exponential(seed, dim, scalar_k):
+    # Offsets in [-3, 3]^dim with the zero offset among them, at off-grid
+    # momenta up to |k| = 1e3; in 1D the momentum may be a scalar.  The
+    # direct route rounds k.r once and the per-axis route rounds each k_a r_a,
+    # so they differ by a few eps times the size of the argument.
+    rng = np.random.default_rng(seed)
+    pool = [tuple(int(x) - 3 for x in o) for o in np.ndindex(*(7,) * dim) if any(x != 3 for x in o)]
+    offsets = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, min(len(pool), 8) + 1)),
+                                        replace=False)]
+    offsets.insert(int(rng.integers(0, len(offsets) + 1)), (0,) * dim)
+    st = BlochStencil(dim, tuple(offsets), (1.0,) * len(offsets), (1.0,) * len(offsets))
+    if dim == 1 and scalar_k:
+        k = float(rng.uniform(-1, 1) * 10 ** rng.uniform(-2, 3))
+    else:
+        k = rng.uniform(-1, 1, size=(int(rng.integers(1, 12)), dim)) * 10 ** rng.uniform(-2, 3)
+    kvec = _as_kvec(k, dim)
+    R = np.array(offsets, dtype=float)
+    want = np.exp(-1j * kvec @ R.T)
+    got = np.moveaxis(st._phases(kvec), 0, -1)
+    assert got.shape == want.shape
+    bound = 4 * np.finfo(float).eps * (1.0 + np.abs(kvec) @ np.abs(R).T)
+    assert np.all(np.abs(got - want) <= bound), (np.abs(got - want) / bound).max()
+
+
+def _reference_solid_angle(n1, n2, n3):
+    num = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
+    den = (1.0 + np.einsum("...i,...i->...", n1, n2) + np.einsum("...i,...i->...", n2, n3)
+           + np.einsum("...i,...i->...", n3, n1))
+    return 2.0 * np.arctan2(num, den)
+
+
+def _reference_solid_angles(n):
+    """Both triangle solid angles of every plaquette, stacked: (2, nx, ny)."""
+    n10 = np.roll(n, -1, axis=0)
+    n11 = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
+    n01 = np.roll(n, -1, axis=1)
+    return np.stack([_reference_solid_angle(n, n10, n11), _reference_solid_angle(n, n11, n01)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.booleans())
+def test_chern_matches_reference_solid_angles(seed, rough):
+    # Gapped fields of random stencils, or rough random unit fields whose
+    # neighbours point anywhere: the component kernel and the cross/einsum
+    # reference give the same total, and the same integer or both a ValueError.
+    rng = np.random.default_rng(seed)
+    nk = int(rng.integers(16, 49))
+    ks = bz_grid(nk, 2, offset=0.5)
+    if rough:
+        flat = flattened_from_n(ks, rng.standard_normal((nk, nk, 3)))
+    else:
+        try:
+            flat = flatten(momentum_state(_random_families(rng, 2), ks), tol=1e-3)
+        except GapClosedError:
+            assume(False)
+    omega = _reference_solid_angles(flat.n)
+    want = float(-omega.sum() / (4 * np.pi))
+    diff = _chern_sum(flat.n) - want
+    # A triangle with its corners on one great circle and 1 + a.b + b.c + c.a
+    # < 0 spans a hemisphere: its solid angle is +-2 pi, the sign set by the
+    # rounding of a zero triple product, so each route may put it on either
+    # side.  Coarse stencil fields confined to a plane (class BDI) have such
+    # triangles; each may move the totals apart by a whole unit.
+    hemispheres = int((np.abs(np.abs(omega) - 2 * np.pi) <= 1e-9).sum())
+    assert abs(diff - round(diff)) <= 1e-12 and abs(round(diff)) <= hemispheres
+    if hemispheres:
+        return
+    if abs(want - round(want)) > 1e-6:
+        with pytest.raises(ValueError, match="not integral"):
+            chern_number(flat)
+    else:
+        assert chern_number(flat) == round(want)
 
 
 def test_pip_reference_chern():

@@ -116,6 +116,13 @@ def test_build_dissipator_validates_input():
         build_dissipator([np.array([1.0, 0.0, 0.0])])  # odd length
 
 
+def test_build_dissipator_refuses_a_num_majoranas_other_than_the_vector_length():
+    with pytest.raises(ValueError, match="num_majoranas = 8.*length 4"):
+        build_dissipator([np.array([1, 1j, 0, 0])], num_majoranas=8)
+    d = build_dissipator([np.array([1, 1j, 0, 0])], num_majoranas=4)
+    assert d.X.shape == (4, 4)
+
+
 def _covariance(seed, eps):
     """``Q (+)_n eps_n J Q^T`` for a random orthogonal Q, exactly antisymmetric."""
     n = 2 * len(eps)
