@@ -12,13 +12,15 @@ gamma_j -> gamma_i``.
 from __future__ import annotations
 
 import math
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import _evolve_in_basis
+from .dynamics import _flow, _frame
 from .majorana import Dissipator, default_tol
 from .models import vortex_pair
 
@@ -51,8 +53,10 @@ class AdiabaticSchedule:
     hamiltonian: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        if not (math.isfinite(self.total_time) and self.total_time > 0):
+            raise ValueError(f"total_time must be finite and positive, got {self.total_time}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -133,32 +137,43 @@ def adiabatic_evolve(
 
     Aborts with ``ValueError`` naming s when the damping gap above the
     tracked block is closed, at s = 0 or at any step midpoint.
+
+    The frame ``eigh(X)``, ``V^T Y V`` of each step does not depend on Gamma,
+    so one worker thread computes step i + 1's while this thread updates
+    Gamma for step i.  ``schedule.path`` and ``schedule.hamiltonian`` are
+    called on this thread only, once per point, in the order of the steps.
     """
     gamma = np.asarray(gamma0, float).copy()
     dt = schedule.total_time / schedule.steps
+    mids = [(i + 0.5) / schedule.steps for i in range(schedule.steps)]
     track = block_dim > 0
     min_gap = np.inf
     if track:
-        d0 = schedule.path(0.0)
-        Q0, min_gap = _kernel_frame(d0, np.linalg.eigh(d0.X), block_dim, 0.0)
+        d = schedule.path(0.0)
+        Q0, min_gap = _kernel_frame(d, np.linalg.eigh(d.X), block_dim, 0.0)
         Q = Q0
         block0 = Q0.T @ gamma @ Q0
-    for i in range(schedule.steps):
-        s_mid = (i + 0.5) / schedule.steps
-        d = schedule.path(s_mid)
-        eig = np.linalg.eigh(d.X)
-        if schedule.hamiltonian is None:
-            gamma = _evolve_in_basis(d, eig, gamma, dt)
-        else:
-            h = np.asarray(schedule.hamiltonian(s_mid), float)
-            gamma = _evolve_in_basis(d, eig, gamma, 0.5 * dt)
-            O = expm(h * dt)
-            gamma = O @ gamma @ O.T
-            gamma = _evolve_in_basis(d, eig, gamma, 0.5 * dt)
-        if track:
-            Qn, gap = _kernel_frame(d, eig, block_dim, s_mid)
-            min_gap = min(min_gap, gap)
-            Q = _align(Q, Qn)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        d = schedule.path(mids[0])
+        pending = worker.submit(_frame, d)
+        for i, s_mid in enumerate(mids):
+            frame = pending.result()
+            if track:
+                Qn, gap = _kernel_frame(d, frame[:2], block_dim, s_mid)
+                min_gap = min(min_gap, gap)
+                Q = _align(Q, Qn)
+            h = None if schedule.hamiltonian is None else schedule.hamiltonian(s_mid)
+            d = None    # the frame is all the step needs; free d before the next is built
+            if i + 1 < len(mids):
+                d = schedule.path(mids[i + 1])
+                pending = worker.submit(_frame, d)
+            if h is None:
+                gamma = _flow(frame, gamma, dt)
+            else:
+                gamma = _flow(frame, gamma, 0.5 * dt)
+                O = expm(np.asarray(h, float) * dt)
+                gamma = O @ gamma @ O.T
+                gamma = _flow(frame, gamma, 0.5 * dt)
     if not track:
         return AdiabaticResult(gamma, 0.0, None, min_gap)
     block1 = Q.T @ gamma @ Q

@@ -15,6 +15,7 @@ initial condition and reported explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -65,6 +66,16 @@ def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kappa, V, kappa <= default_tol(d.X)
 
 
+def _frame(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kappa, V, V^T Y V)`` with ``(kappa, V) = eigh(X)``: what a step needs of ``d``.
+
+    It depends on the dissipator only, not on Gamma, so a schedule can compute
+    the next step's frame while the current step updates Gamma.
+    """
+    kappa, V = np.linalg.eigh(d.X)
+    return kappa, V, V.T @ d.Y @ V
+
+
 def steady_state(
     d: Dissipator,
     initial: Optional[np.ndarray] = None,
@@ -82,8 +93,9 @@ def steady_state(
         If ``Y`` does not vanish on a zero-rate block (inconsistent
         dissipator: fluctuations with no damping to balance them).
     """
-    kappa, V, zero = _eigenbasis(d)
-    Yt = V.T @ d.Y @ V
+    kappa, V, Yt = _frame(d)
+    kappa = np.clip(kappa, 0.0, None)
+    zero = kappa <= default_tol(d.X)
     S = kappa[:, None] + kappa[None, :]
     dead = zero[:, None] & zero[None, :]
     y_on_kernel = np.abs(Yt[dead]).max() if dead.any() else 0.0
@@ -105,18 +117,14 @@ def steady_state(
     return SteadyStateResult(gamma, kernel, residual)
 
 
-def _evolve_in_basis(d: Dissipator, eig, gamma0: np.ndarray, t: float) -> np.ndarray:
-    """:func:`evolve` given ``eig = eigh(d.X)``.
-
-    Callers that flow under one ``X`` several times decompose it once.
-    """
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
+def _flow(frame, gamma0: np.ndarray, t: float) -> np.ndarray:
+    """:func:`evolve` for a dissipator given by its :func:`_frame`."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and nonnegative, got {t}")
     gamma0 = check_covariance(gamma0)
-    kappa, V = eig
+    kappa, V, Yt = frame
     kappa = np.clip(kappa, 0.0, None)
     G0t = V.T @ gamma0 @ V
-    Yt = V.T @ d.Y @ V
     S = kappa[:, None] + kappa[None, :]
     decay = np.exp(-S * t)
     small = S * t < 1e-12
@@ -132,9 +140,9 @@ def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
 
     Closed form per X-eigenbasis entry; the zero-rate limit
     ``(1 - e^{-st})/s -> t`` is taken analytically, so kernels need no
-    special casing.
+    special casing.  Raises ``ValueError`` for a negative or non-finite ``t``.
     """
-    return _evolve_in_basis(d, np.linalg.eigh(d.X), gamma0, t)
+    return _flow(_frame(d), gamma0, t)
 
 
 def zero_damping_modes(d: Dissipator) -> List[np.ndarray]:

@@ -1,6 +1,7 @@
 """Braid algebra and adiabatic transport."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -101,6 +102,13 @@ def test_schedule_validation():
         AdiabaticSchedule(lambda s: d, total_time=0.0, steps=4)
     with pytest.raises(ValueError):
         AdiabaticSchedule(lambda s: d, total_time=1.0, steps=0)
+    for total_time in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="total_time .* got (nan|inf)"):
+            AdiabaticSchedule(lambda s: d, total_time=total_time, steps=1)
+    for steps in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            AdiabaticSchedule(lambda s: d, total_time=1.0, steps=steps)
+    AdiabaticSchedule(lambda s: d, total_time=1.0, steps=np.int64(2))
 
 
 @pytest.mark.parametrize("N", [10, 12, 16, 20, 24])
@@ -115,11 +123,18 @@ def test_closed_gap_is_refused_at_every_frame(N):
         adiabatic_evolve(AdiabaticSchedule(lambda s: d, 1.0, 2), gamma0, block_dim=1)
     # Above a two-mode block the open Kitaev wire (kernel: its two end
     # Majoranas) is gapped, so a path that closes after s = 0 is refused at
-    # its first midpoint.
+    # its first midpoint, before the path is asked for the next one.
     kitaev = build_dissipator(kitaev_wire().finite_realization((N,), boundary="open").operators)
-    path = AdiabaticSchedule(lambda s: d if s > 0 else kitaev, 1.0, 2)
+    asked = []
+
+    def path(s):
+        asked.append(s)
+        return d if s > 0 else kitaev
+
     with pytest.raises(ValueError, match="closed .* at s = 0.2500"):
-        adiabatic_evolve(path, steady_state(kitaev).gamma, block_dim=2)
+        adiabatic_evolve(AdiabaticSchedule(path, 1.0, 2), steady_state(kitaev).gamma,
+                         block_dim=2)
+    assert asked == [0.0, 0.25]
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +183,91 @@ def test_exchange_path_rejects_circle_outside_lattice():
     with pytest.raises(ValueError, match="leaves lattice"):
         vortex_exchange_path(cross_2d(2.0), (14, 10), 10.0, 0.7)
     vortex_exchange_path(cross_2d(2.0), (14, 10), 9.0, 0.7)   # radius 4.5 = (10 - 1) / 2
+
+
+# ---------------------------------------------------------------------------
+# The exchange pipeline: the next step's frame is computed on a worker thread
+# ---------------------------------------------------------------------------
+
+_PIPE_STEPS = 12
+
+
+@pytest.fixture(scope="module")
+def small_exchange():
+    from lindtop.models import cross_2d
+
+    path = vortex_exchange_path(cross_2d(2.0), (8, 8), 4.0, 0.7)
+    return path, steady_state(path(0.0)).gamma
+
+
+def _midpoints(steps):
+    return [(i + 0.5) / steps for i in range(steps)]
+
+
+def test_exchange_calls_back_on_caller_thread_in_step_order(small_exchange):
+    base, gamma0 = small_exchange
+    calls = []
+
+    def path(s):
+        calls.append(("path", s, threading.get_ident()))
+        return base(s)
+
+    def hamiltonian(s):
+        calls.append(("h", s, threading.get_ident()))
+        return np.zeros_like(gamma0)
+
+    adiabatic_evolve(AdiabaticSchedule(path, 3.0, _PIPE_STEPS), gamma0, block_dim=2)
+    assert [s for _, s, _ in calls] == [0.0] + _midpoints(_PIPE_STEPS)
+    calls.clear()
+    adiabatic_evolve(AdiabaticSchedule(path, 3.0, _PIPE_STEPS, hamiltonian), gamma0,
+                     block_dim=2)
+    expected = [("path", 0.0)]
+    for s in _midpoints(_PIPE_STEPS):
+        expected += [("path", s), ("h", s)]
+    assert [(kind, s) for kind, s, _ in calls] == expected
+    assert {ident for _, _, ident in calls} == {threading.get_ident()}
+
+
+def test_exchange_path_error_propagates_and_leaves_no_thread(small_exchange):
+    base, gamma0 = small_exchange
+    third = _midpoints(_PIPE_STEPS)[2]
+
+    class PathFailed(Exception):
+        pass
+
+    def path(s):
+        if s == third:
+            raise PathFailed(s)
+        return base(s)
+
+    before = threading.active_count()
+    with pytest.raises(PathFailed):
+        adiabatic_evolve(AdiabaticSchedule(path, 3.0, _PIPE_STEPS), gamma0, block_dim=2)
+    assert threading.active_count() == before
+
+
+def test_exchange_keeps_at_most_two_dissipators(small_exchange):
+    base, gamma0 = small_exchange
+    refs, alive = [], []
+
+    def path(s):
+        d = base(s)
+        refs.append(weakref.ref(d))
+        alive.append(sum(r() is not None for r in refs))
+        return d
+
+    adiabatic_evolve(AdiabaticSchedule(path, 3.0, _PIPE_STEPS), gamma0, block_dim=2)
+    assert len(refs) == _PIPE_STEPS + 1
+    assert max(alive) <= 2
+
+
+def test_pipelined_schedule_equals_folded_evolve(small_exchange):
+    # The worker computes the same frame evolve would, so without tracking the
+    # schedule is bit for bit the fold of evolve over the midpoints.
+    path, gamma0 = small_exchange
+    T = 3.0
+    res = adiabatic_evolve(AdiabaticSchedule(path, T, _PIPE_STEPS), gamma0)
+    gamma = gamma0
+    for s in _midpoints(_PIPE_STEPS):
+        gamma = evolve(path(s), gamma, T / _PIPE_STEPS)
+    assert np.array_equal(res.gamma, gamma)

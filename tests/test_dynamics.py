@@ -246,3 +246,11 @@ def test_evolve_rejects_negative_time(rng):
     d = build_dissipator(random_generic_family(rng, 2, 2))
     with pytest.raises(ValueError):
         evolve(d, np.zeros((4, 4)), -1.0)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_evolve_rejects_non_finite_time(rng, t):
+    # At t = inf the zero-rate entries would read 0 * inf = nan.
+    d = build_dissipator(random_generic_family(rng, 2, 2))
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {t}"):
+        evolve(d, np.zeros((4, 4)), t)
