@@ -1,8 +1,9 @@
 """Adiabatic parameter changes and Majorana exchange statistics.
 
-The covariance matrix is integrated in the lab frame under
-``dGamma/dt = [h, Gamma] - {X, Gamma} + Y`` with a slowly varying dissipator;
-the decoherence-free (zero-damping) subspace is tracked along the path with a
+The covariance matrix is integrated under
+``dGamma/dt = [h, Gamma] - {X, Gamma} + Y`` with a slowly varying dissipator
+and carried from step to step in the moving eigenbasis of X; the
+decoherence-free (zero-damping) subspace is tracked along the path with a
 smoothly continued orthonormal frame.  The geometric content of the transport
 is the frame holonomy, compared against the algebraic exchange matrices
 ``B_ij`` acting on Majorana mode labels as ``gamma_i -> -gamma_j,
@@ -20,8 +21,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import _flow, _frame
-from .majorana import Dissipator, default_tol
+from .dynamics import _rotated_Y, _step_tables
+from .majorana import Dissipator, check_covariance, default_tol
 from .models import vortex_pair
 
 __all__ = [
@@ -38,6 +39,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Adiabatic integration with decoherence-free-subspace tracking
 # ---------------------------------------------------------------------------
+
+# _align: the smallest singular value of prev^T cur, the overlap of two
+# consecutive decoherence-free frames, below which the frame has jumped.
+_MIN_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class AdiabaticSchedule:
@@ -108,12 +113,18 @@ def _kernel_frame(d: Dissipator, eig: Tuple[np.ndarray, np.ndarray], block_dim: 
 def _align(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Rotate frame ``cur`` (within its span) to best match ``prev``."""
     U, sv, Vt = np.linalg.svd(prev.T @ cur)
-    if sv.min() < 0.5:
+    if sv.min() < _MIN_OVERLAP:
         raise ValueError(
-            f"decoherence-free frame jump (min overlap {sv.min():.3f} < 0.5); "
+            f"decoherence-free frame jump (min overlap {sv.min():.3f} < {_MIN_OVERLAP}); "
             "use finer steps"
         )
     return cur @ (U @ Vt).T
+
+
+def _tables(d: Dissipator, eig, tau: float):
+    """The worker's second task for a step: ``_step_tables`` of ``V^T Y V`` over ``tau``."""
+    kappa, V = eig.result()
+    return _step_tables(kappa, _rotated_Y(d, V), tau)
 
 
 def adiabatic_evolve(
@@ -136,44 +147,75 @@ def adiabatic_evolve(
     paths, where the final subspace coincides with the initial one).
 
     Aborts with ``ValueError`` naming s when the damping gap above the
-    tracked block is closed, at s = 0 or at any step midpoint.
+    tracked block is closed, at s = 0 or at any step midpoint.  ``gamma0``
+    is validated by :func:`~lindtop.majorana.check_covariance`; a
+    ``block_dim`` that is not an integer in ``[0, n)``, and a path point
+    whose dimension is not ``gamma0``'s n, raise ``ValueError``.
 
-    The frame ``eigh(X)``, ``V^T Y V`` of each step does not depend on Gamma,
-    so one worker thread computes step i + 1's while this thread updates
-    Gamma for step i.  ``schedule.path`` and ``schedule.hamiltonian`` are
-    called on this thread only, once per point, in the order of the steps.
+    Gamma is carried in the eigenbasis ``V`` of the current step's X: it
+    enters once as ``V^T Gamma0 V``, each step rotates it by
+    ``O = V_prev^T V`` and applies the closed-form tables, and it leaves once
+    as ``V Gt V^T``.  ``eigh(X)`` and the tables do not depend on Gamma, so
+    one worker thread computes step i + 1's while this thread updates Gamma
+    for step i; it publishes ``eigh(X)`` first, so the gap check and the next
+    path point wait only for that.  ``schedule.path`` and
+    ``schedule.hamiltonian`` are called on this thread only, once per point,
+    in the order of the steps.
     """
-    gamma = np.asarray(gamma0, float).copy()
+    gamma0 = check_covariance(gamma0)
+    n = gamma0.shape[0]
+    if not (isinstance(block_dim, numbers.Integral) and 0 <= block_dim < n):
+        raise ValueError(f"block_dim must be an integer in [0, {n}), got {block_dim!r}")
     dt = schedule.total_time / schedule.steps
+    tau = dt if schedule.hamiltonian is None else 0.5 * dt
     mids = [(i + 0.5) / schedule.steps for i in range(schedule.steps)]
     track = block_dim > 0
     min_gap = np.inf
+
+    def point(s: float) -> Dissipator:
+        d = schedule.path(s)
+        if d.num_majoranas != n:
+            raise ValueError(f"the dissipator at s = {s:.4f} is {d.num_majoranas}x"
+                             f"{d.num_majoranas}, but gamma0 is {n}x{n}")
+        return d
+
     if track:
-        d = schedule.path(0.0)
+        d = point(0.0)
         Q0, min_gap = _kernel_frame(d, np.linalg.eigh(d.X), block_dim, 0.0)
         Q = Q0
-        block0 = Q0.T @ gamma @ Q0
+        block0 = Q0.T @ gamma0 @ Q0
+    Gt, V_prev = gamma0, None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        d = schedule.path(mids[0])
-        pending = worker.submit(_frame, d)
+
+        def submit(d: Dissipator):
+            eig = worker.submit(np.linalg.eigh, d.X)
+            return eig, worker.submit(_tables, d, eig, tau)
+
+        d = point(mids[0])
+        eig, tables = submit(d)
         for i, s_mid in enumerate(mids):
-            frame = pending.result()
+            kappa, V = eig.result()
             if track:
-                Qn, gap = _kernel_frame(d, frame[:2], block_dim, s_mid)
+                Qn, gap = _kernel_frame(d, (kappa, V), block_dim, s_mid)
                 min_gap = min(min_gap, gap)
                 Q = _align(Q, Qn)
             h = None if schedule.hamiltonian is None else schedule.hamiltonian(s_mid)
-            d = None    # the frame is all the step needs; free d before the next is built
+            d = None    # the worker holds d until its tables are built
+            step = tables
             if i + 1 < len(mids):
-                d = schedule.path(mids[i + 1])
-                pending = worker.submit(_frame, d)
-            if h is None:
-                gamma = _flow(frame, gamma, dt)
-            else:
-                gamma = _flow(frame, gamma, 0.5 * dt)
-                O = expm(np.asarray(h, float) * dt)
-                gamma = O @ gamma @ O.T
-                gamma = _flow(frame, gamma, 0.5 * dt)
+                d = point(mids[i + 1])
+                eig, tables = submit(d)
+            O = V if V_prev is None else V_prev.T @ V
+            Gt = check_covariance(O.T @ Gt @ O)
+            decay, rampY = step.result()
+            Gt = decay * Gt + rampY
+            if h is not None:
+                R = V.T @ expm(np.asarray(h, float) * dt) @ V
+                Gt = decay * (R @ Gt @ R.T) + rampY
+            Gt = 0.5 * (Gt - Gt.T)
+            V_prev = V
+    gamma = V_prev @ Gt @ V_prev.T
+    gamma = 0.5 * (gamma - gamma.T)
     if not track:
         return AdiabaticResult(gamma, 0.0, None, min_gap)
     block1 = Q.T @ gamma @ Q

@@ -39,6 +39,9 @@ __all__ = [
 _EDGE_WEIGHT = 0.9
 _ZERO_PURITY = 1e-6
 
+# _step_tables: below this S*t the ramp (1 - e^{-S t})/S is its limit t.
+_SERIES_CUTOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class SteadyStateResult:
@@ -66,14 +69,36 @@ def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kappa, V, kappa <= default_tol(d.X)
 
 
-def _frame(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(kappa, V, V^T Y V)`` with ``(kappa, V) = eigh(X)``: what a step needs of ``d``.
+def _rotated_Y(d: Dissipator, V: np.ndarray) -> np.ndarray:
+    """``V^T Y V``: the fluctuation matrix in the eigenbasis ``V`` of X."""
+    return V.T @ d.Y @ V
 
-    It depends on the dissipator only, not on Gamma, so a schedule can compute
-    the next step's frame while the current step updates Gamma.
-    """
+
+def _frame(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kappa, V, V^T Y V)`` with ``(kappa, V) = eigh(X)``: what a step needs of ``d``."""
     kappa, V = np.linalg.eigh(d.X)
-    return kappa, V, V.T @ d.Y @ V
+    return kappa, V, _rotated_Y(d, V)
+
+
+def _step_tables(kappa: np.ndarray, Yt: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(decay, ramp * Yt)`` of the closed-form step of length ``t``; ``Yt`` is overwritten.
+
+    With ``S_ab = kappa_a + kappa_b`` (rates clipped at 0), ``decay = e^{-S t}``
+    and ``ramp = (1 - e^{-S t}) / S``, whose limit ``t`` is taken where
+    ``S t < _SERIES_CUTOFF``.  A step in the eigenbasis is then
+    ``Gt -> decay * Gt + ramp * Yt``.  The tables do not depend on Gamma.
+    """
+    kappa = np.clip(kappa, 0.0, None)
+    S = np.add.outer(kappa, kappa)
+    decay = np.multiply(S, -t)
+    small = decay > -_SERIES_CUTOFF
+    ramp = np.expm1(decay)
+    np.exp(decay, out=decay)
+    np.negative(ramp, out=ramp)
+    np.divide(ramp, S, out=ramp, where=~small)
+    ramp[small] = t
+    Yt *= ramp
+    return decay, Yt
 
 
 def steady_state(
@@ -117,24 +142,6 @@ def steady_state(
     return SteadyStateResult(gamma, kernel, residual)
 
 
-def _flow(frame, gamma0: np.ndarray, t: float) -> np.ndarray:
-    """:func:`evolve` for a dissipator given by its :func:`_frame`."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and nonnegative, got {t}")
-    gamma0 = check_covariance(gamma0)
-    kappa, V, Yt = frame
-    kappa = np.clip(kappa, 0.0, None)
-    G0t = V.T @ gamma0 @ V
-    S = kappa[:, None] + kappa[None, :]
-    decay = np.exp(-S * t)
-    small = S * t < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ramp = np.where(small, t, -np.expm1(-S * t) / np.where(small, 1.0, S))
-    Gt = decay * G0t + Yt * ramp
-    gamma = V @ Gt @ V.T
-    return 0.5 * (gamma - gamma.T)
-
-
 def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
     """Exact evolution of ``Gamma`` under ``dGamma/dt = -{X, Gamma} + Y``.
 
@@ -142,7 +149,14 @@ def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
     ``(1 - e^{-st})/s -> t`` is taken analytically, so kernels need no
     special casing.  Raises ``ValueError`` for a negative or non-finite ``t``.
     """
-    return _flow(_frame(d), gamma0, t)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and nonnegative, got {t}")
+    gamma0 = check_covariance(gamma0)
+    kappa, V, Yt = _frame(d)
+    decay, rampY = _step_tables(kappa, Yt, t)
+    Gt = decay * (V.T @ gamma0 @ V) + rampY
+    gamma = V @ Gt @ V.T
+    return 0.5 * (gamma - gamma.T)
 
 
 def zero_damping_modes(d: Dissipator) -> List[np.ndarray]:

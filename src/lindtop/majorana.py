@@ -125,16 +125,20 @@ class Dissipator:
         _check_finite("X", X)
         _check_finite("Y", Y)
         tol = default_tol(X, Y)
-        if np.abs(X - X.T).max() > tol:
+        # One n x n buffer holds the symmetry residual, the antisymmetry
+        # residual and the shifted X in turn.
+        buf = np.subtract(X, X.T)
+        if np.abs(buf, out=buf).max() > tol:
             raise ValueError("X is not symmetric")
-        if np.abs(Y + Y.T).max() > tol:
+        np.add(Y, Y.T, out=buf)
+        if np.abs(buf, out=buf).max() > tol:
             raise ValueError("Y is not antisymmetric")
         if X.size:
             # X >= -tol*I, proved by a Cholesky factorization of X + tol*I; the
             # eigenvalue for the message is computed only when it fails.
-            shifted = X.copy()
-            shifted.flat[:: X.shape[0] + 1] += tol
-            if not _is_positive_definite(shifted):
+            np.copyto(buf, X)
+            buf.flat[:: X.shape[0] + 1] += tol
+            if not _is_positive_definite(buf):
                 lam = np.linalg.eigvalsh(X)[0]
                 raise ValueError(
                     f"X is not positive semidefinite: smallest eigenvalue {lam:.6g}, "
@@ -155,8 +159,14 @@ def _gram(G: sp.csr_matrix, dense: bool = True):
     M = G.conj().T @ G
     if not dense:
         return (2.0 * M.real).tocsr()
-    M = M.toarray()
-    return Dissipator(2.0 * M.real, -4.0 * M.imag)
+    # Real and imaginary parts are densified and scaled in place, with no
+    # complex n x n intermediate; the entries equal 2 Re and -4 Im of
+    # M.toarray() bit for bit, signed zeros included.
+    X = M.real.toarray()
+    X *= 2.0
+    Y = M.imag.toarray()
+    Y *= -4.0
+    return Dissipator(X, Y)
 
 
 def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[int] = None) -> Dissipator:

@@ -41,3 +41,13 @@ def random_generic_family(rng, num_modes: int, num_ops: int):
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for _ in range(num_ops)
     ]
+
+
+def random_covariance(rng, n: int):
+    """A valid covariance: mixed rotation blocks in a random orthogonal frame."""
+    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    base = np.zeros((n, n))
+    for b in range(n // 2):
+        base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
+        base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
+    return R @ base @ R.T

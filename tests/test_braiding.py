@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lindtop.braiding import (
@@ -19,7 +20,7 @@ from lindtop.braiding import (
 from lindtop.dynamics import evolve, steady_state
 from lindtop.majorana import build_dissipator
 
-from conftest import random_generic_family
+from conftest import random_covariance, random_generic_family
 
 
 def test_braid_matrix_single_exchange():
@@ -109,6 +110,80 @@ def test_schedule_validation():
         with pytest.raises(ValueError, match="steps must be an integer"):
             AdiabaticSchedule(lambda s: d, total_time=1.0, steps=steps)
     AdiabaticSchedule(lambda s: d, total_time=1.0, steps=np.int64(2))
+
+
+@pytest.fixture(scope="module")
+def exchange_6x6():
+    from lindtop.models import cross_2d
+
+    path = vortex_exchange_path(cross_2d(2.0), (6, 6), 2.0, 0.7)
+    return path, steady_state(path(0.0)).gamma
+
+
+@pytest.mark.parametrize("block_dim", [-1, 2.5, "2", 72, 80])
+def test_block_dim_outside_range_is_refused(exchange_6x6, block_dim):
+    path, gamma0 = exchange_6x6
+    with pytest.raises(ValueError, match=f"block_dim .* got {block_dim!r}"):
+        adiabatic_evolve(AdiabaticSchedule(path, 1.0, 2), gamma0, block_dim=block_dim)
+
+
+@pytest.mark.parametrize("n", [10, 70])
+@pytest.mark.parametrize("block_dim", [0, 2])
+def test_gamma0_of_another_dimension_is_refused(exchange_6x6, n, block_dim):
+    path, _ = exchange_6x6
+    s0 = "0.0000" if block_dim else "0.2500"
+    with pytest.raises(ValueError, match=f"s = {s0} is 72x72, but gamma0 is {n}x{n}"):
+        adiabatic_evolve(AdiabaticSchedule(path, 1.0, 2), np.zeros((n, n)), block_dim=block_dim)
+
+
+def test_path_point_of_another_dimension_is_refused(exchange_6x6):
+    path, gamma0 = exchange_6x6
+    small = build_dissipator(random_generic_family(np.random.default_rng(3), 4, 4))
+
+    def mixed(s):
+        return small if s == 0.625 else path(s)
+
+    with pytest.raises(ValueError, match="s = 0.6250 is 8x8, but gamma0 is 72x72"):
+        adiabatic_evolve(AdiabaticSchedule(mixed, 1.0, 4), gamma0, block_dim=2)
+
+
+def _folded_reference(path, hamiltonian, gamma0, total_time, steps):
+    """Lab-frame Strang steps: ``evolve`` over each half-step around the ``expm`` congruence."""
+    dt = total_time / steps
+    gamma = gamma0
+    for s in _midpoints(steps):
+        d = path(s)
+        if hamiltonian is None:
+            gamma = evolve(d, gamma, dt)
+        else:
+            O = expm(hamiltonian(s) * dt)
+            gamma = evolve(d, O @ evolve(d, gamma, 0.5 * dt) @ O.T, 0.5 * dt)
+    return gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 16),
+       st.floats(0.01, 20.0), st.booleans())
+def test_moving_basis_matches_lab_frame_steps(seed, num_modes, steps, total_time, driven):
+    # The schedule carries Gamma in the eigenbasis of each step's X and
+    # leaves it once; stepping in the lab frame must agree to rounding
+    # (at most 8.9e-16 over 300 random draws).
+    rng = np.random.default_rng(seed)
+    n = 2 * num_modes
+    num_ops = int(rng.integers(1, n + 1))
+    a = random_generic_family(rng, num_modes, num_ops)
+    b = random_generic_family(rng, num_modes, num_ops)
+
+    def path(s):
+        c, w = np.cos(0.5 * np.pi * s), np.sin(0.5 * np.pi * s)
+        return build_dissipator([c * x + w * y for x, y in zip(a, b)], num_majoranas=n)
+
+    H = rng.standard_normal((n, n))
+    hamiltonian = (lambda s: (1.0 + s) * (H - H.T)) if driven else None
+    gamma0 = random_covariance(rng, n)
+    res = adiabatic_evolve(AdiabaticSchedule(path, total_time, steps, hamiltonian), gamma0)
+    ref = _folded_reference(path, hamiltonian, gamma0, total_time, steps)
+    assert np.abs(res.gamma - ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("N", [10, 12, 16, 20, 24])
@@ -262,12 +337,14 @@ def test_exchange_keeps_at_most_two_dissipators(small_exchange):
 
 
 def test_pipelined_schedule_equals_folded_evolve(small_exchange):
-    # The worker computes the same frame evolve would, so without tracking the
-    # schedule is bit for bit the fold of evolve over the midpoints.
+    # The worker computes the same eigenbasis and tables evolve would; the
+    # schedule carries Gamma in the moving eigenbasis instead of returning to
+    # the lab frame each step, so it equals the fold of evolve over the
+    # midpoints up to rounding (1.7e-16 on this path).
     path, gamma0 = small_exchange
     T = 3.0
     res = adiabatic_evolve(AdiabaticSchedule(path, T, _PIPE_STEPS), gamma0)
     gamma = gamma0
     for s in _midpoints(_PIPE_STEPS):
         gamma = evolve(path(s), gamma, T / _PIPE_STEPS)
-    assert np.array_equal(res.gamma, gamma)
+    assert np.abs(res.gamma - gamma).max() <= 1e-13

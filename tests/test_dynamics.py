@@ -20,7 +20,7 @@ from lindtop.models import (
     zigzag_competing,
 )
 
-from conftest import random_anticommuting_family, random_generic_family
+from conftest import random_anticommuting_family, random_covariance, random_generic_family
 
 
 def test_steady_state_solves_fixed_point(rng):
@@ -41,16 +41,6 @@ def test_evolve_converges_to_steady_state(rng):
     assert np.allclose(g, target, atol=1e-10)
 
 
-def _random_covariance(rng, n):
-    """A valid covariance: mixed rotation blocks in a random orthogonal frame."""
-    R = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    base = np.zeros((n, n))
-    for b in range(n // 2):
-        base[2 * b, 2 * b + 1] = rng.uniform(-1, 1)
-        base[2 * b + 1, 2 * b] = -base[2 * b, 2 * b + 1]
-    return R @ base @ R.T
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6))
 def test_evolve_long_time_is_steady_state(seed, num_modes, num_ops):
@@ -59,7 +49,7 @@ def test_evolve_long_time_is_steady_state(seed, num_modes, num_ops):
     # nonzero rate, so t = 40 / rate leaves e^-40 of the initial state.
     rng = np.random.default_rng(seed)
     d = build_dissipator(random_generic_family(rng, num_modes, num_ops))
-    g0 = _random_covariance(rng, 2 * num_modes)
+    g0 = random_covariance(rng, 2 * num_modes)
     rates = np.linalg.eigvalsh(d.X)
     rate = rates[rates > 1e-8].min()
     assume(rate > 1e-4)
@@ -90,7 +80,7 @@ def test_strang_splitting_is_second_order(seed, num_sites):
     d = build_dissipator([0.5 * l for l in ops], num_majoranas=n)
     B = rng.standard_normal((n, n))
     h = B - B.T
-    g0 = _random_covariance(rng, n)
+    g0 = random_covariance(rng, n)
     ref = _dense_flow(d, h, g0, 1.0)
     errs = []
     for steps in (16, 32):
@@ -233,7 +223,7 @@ def test_block_decoupling(rng):
         l[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         ops.append(l)
     p = np.arange(6, 10)
-    g0 = _random_covariance(np.random.default_rng(7), 10)
+    g0 = random_covariance(np.random.default_rng(7), 10)
     drift, decays = _block_flow(build_dissipator(ops, num_majoranas=10), g0, p)
     assert drift <= 1e-9 and decays
     # An operator that touches the block breaks the conservation.

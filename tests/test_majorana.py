@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import schur
 
 from lindtop.majorana import (
     Dissipator,
+    _gram,
     anticommutator_table,
     build_dissipator,
     check_covariance,
@@ -16,7 +18,7 @@ from lindtop.majorana import (
     purity_spectrum,
 )
 from lindtop.dynamics import steady_state
-from lindtop.models import VortexConfig, cross_2d, kitaev_wire, zigzag_competing
+from lindtop.models import VortexConfig, cross_2d, kitaev_wire, vortex_pair, zigzag_competing
 
 from conftest import random_anticommuting_family, random_generic_family
 
@@ -114,6 +116,34 @@ def test_default_tol_brackets_spectral_norm(seed, n, parity, log_scale):
 def test_build_dissipator_validates_input():
     with pytest.raises(ValueError):
         build_dissipator([np.array([1.0, 0.0, 0.0])])  # odd length
+
+
+def _random_csr(rng, rows, cols):
+    """Sparse complex rows, some purely real and some purely imaginary."""
+    re = sp.random(rows, cols, density=0.3, random_state=rng, format="csr")
+    im = sp.random(rows, cols, density=0.3, random_state=rng, format="csr")
+    G = (re - 0.5 * re.sign() + 1j * im).tolil()
+    G[0] = G[0].real
+    G[1] = 1j * G[1].imag
+    return G.tocsr()
+
+
+@pytest.mark.parametrize("case", ["random-0", "random-1", "random-2", "vortex-pair"])
+def test_gram_is_bitwise_the_parts_of_the_dense_product(case):
+    # X and Y are densified from the real and imaginary parts of the sparse
+    # M = G^H G; they must equal 2 Re and -4 Im of M.toarray() bit for bit,
+    # the sign of every zero included.
+    if case == "vortex-pair":
+        G = vortex_pair(cross_2d(2.0), (14, 14), 7.0, 0.3, core_scale=0.7).G
+    else:
+        G = _random_csr(np.random.default_rng(int(case[-1])), 12, 16)
+    M = (G.conj().T @ G).toarray()
+    d = _gram(G)
+    for got, want in ((d.X, 2.0 * M.real), (d.Y, -4.0 * M.imag)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # -4 times a +0.0 imaginary part is -0.0, so Y has signed zeros to compare.
+    assert (np.signbit(d.Y) & (d.Y == 0)).any()
 
 
 def test_build_dissipator_refuses_a_num_majoranas_other_than_the_vector_length():
