@@ -1,13 +1,12 @@
 """Adiabatic parameter changes and Majorana exchange statistics.
 
-The covariance matrix is integrated under
-``dGamma/dt = [h, Gamma] - {X, Gamma} + Y`` with a slowly varying dissipator
-and carried from step to step in the moving eigenbasis of X; the
-decoherence-free (zero-damping) subspace is tracked along the path with a
-smoothly continued orthonormal frame.  The geometric content of the transport
-is the frame holonomy, compared against the algebraic exchange matrices
-``B_ij`` acting on Majorana mode labels as ``gamma_i -> -gamma_j,
-gamma_j -> gamma_i``.
+The covariance matrix is integrated under ``dGamma/dt = -{X, Gamma} + Y``
+with a slowly varying dissipator and carried from step to step in the moving
+eigenbasis of X; the decoherence-free (zero-damping) subspace is tracked
+along the path with a smoothly continued orthonormal frame.  The geometric
+content of the transport is the frame holonomy, compared against the
+algebraic exchange matrices ``B_ij`` acting on Majorana mode labels as
+``gamma_i -> -gamma_j, gamma_j -> gamma_i``.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import _rotated_Y, _step_tables
-from .majorana import Dissipator, check_covariance, default_tol
+from .dynamics import _eigenbasis, _rotated_Y, _step_tables
+from .majorana import Dissipator, check_covariance
 from .models import vortex_pair
 
 __all__ = [
@@ -46,16 +44,11 @@ _MIN_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class AdiabaticSchedule:
-    """A parameter path ``s in [0, 1] -> Dissipator`` with optional drive.
-
-    ``hamiltonian(s)``, when given, is the real antisymmetric matrix h
-    generating the coherent part ``[h, Gamma]``.
-    """
+    """A parameter path ``s in [0, 1] -> Dissipator`` run over ``total_time`` in ``steps``."""
 
     path: Callable[[float], Dissipator]
     total_time: float
     steps: int
-    hamiltonian: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.total_time) and self.total_time > 0):
@@ -94,18 +87,17 @@ def vortex_exchange_path(model, lattice, separation: float,
     return diss_at
 
 
-def _kernel_frame(d: Dissipator, eig: Tuple[np.ndarray, np.ndarray], block_dim: int,
+def _kernel_frame(eig: Tuple[np.ndarray, np.ndarray, np.ndarray], block_dim: int,
                   s: float) -> Tuple[np.ndarray, float]:
-    """Lowest-damping frame (2N, block_dim) and the gap above it, from ``eigh(d.X)``.
+    """Lowest-damping frame (2N, block_dim) and the gap above it, from ``_eigenbasis``.
 
-    Raises ``ValueError`` naming ``s`` when the gap is closed: at most
-    ``default_tol(d.X)``, the finite layer's zero-rate mask.
+    Raises ``ValueError`` naming ``s`` when the gap is closed: when the rate
+    above the block is in the zero-rate mask of :func:`_eigenbasis`.
     """
-    w, V = eig
-    gap = float(w[block_dim]) if block_dim < w.size else np.inf
-    tol = default_tol(d.X)
-    if gap <= tol:
-        raise ValueError(f"damping gap {gap:.3e} is closed (at most {tol:.1e}) "
+    kappa, V, zero = eig
+    gap = float(kappa[block_dim])
+    if zero[block_dim]:
+        raise ValueError(f"damping gap {gap:.3e} is closed (a zero rate of X) "
                          f"at s = {s:.4f}; path crosses a closing gap")
     return V[:, :block_dim], gap
 
@@ -121,10 +113,10 @@ def _align(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return cur @ (U @ Vt).T
 
 
-def _tables(d: Dissipator, eig, tau: float):
-    """The worker's second task for a step: ``_step_tables`` of ``V^T Y V`` over ``tau``."""
-    kappa, V = eig.result()
-    return _step_tables(kappa, _rotated_Y(d, V), tau)
+def _tables(d: Dissipator, eig, dt: float):
+    """The worker's second task for a step: ``_step_tables`` of ``V^T Y V`` over ``dt``."""
+    kappa, V, _ = eig.result()
+    return _step_tables(kappa, _rotated_Y(d, V), dt)
 
 
 def adiabatic_evolve(
@@ -132,42 +124,40 @@ def adiabatic_evolve(
     gamma0: np.ndarray,
     block_dim: int = 0,
 ) -> AdiabaticResult:
-    """Integrate the slow-parameter flow by Strang splitting.
+    """Integrate the slow-parameter flow by exponential-midpoint steps.
 
-    Each step evolves ``Gamma`` with the dissipator frozen at the step
-    midpoint: half a closed-form dissipative step, the exact orthogonal
-    rotation ``exp(h dt)`` by congruence, and another dissipative half-step.
-    Both factors are exact, so the only error is the O(dt^2) splitting
-    commutator plus the parameter discretization.
+    Each step of length ``dt`` is the closed-form dissipative step of
+    :func:`~lindtop.dynamics.evolve` with the dissipator frozen at the step
+    midpoint, so the only error is the O(dt^2) parameter discretization.
 
     With ``block_dim > 0`` the lowest-``block_dim`` damping subspace is
-    tracked with a smoothly continued frame; ``leakage`` is the deviation of
-    the co-moving block covariance from its initial value, and ``holonomy``
-    is the net frame rotation ``Q(0)^T Qtilde(1)`` (meaningful for closed
+    tracked with a smoothly continued frame, at s = 0, at every step
+    midpoint and at s = 1; ``leakage`` is the deviation of the co-moving
+    block covariance at s = 1 from its value at s = 0, and ``holonomy`` is
+    the net frame rotation ``Q(0)^T Qtilde(1)`` (meaningful for closed
     paths, where the final subspace coincides with the initial one).
 
     Aborts with ``ValueError`` naming s when the damping gap above the
-    tracked block is closed, at s = 0 or at any step midpoint.  ``gamma0``
-    is validated by :func:`~lindtop.majorana.check_covariance`; a
-    ``block_dim`` that is not an integer in ``[0, n)``, and a path point
-    whose dimension is not ``gamma0``'s n, raise ``ValueError``.
+    tracked block is closed at any tracked point.  ``gamma0`` is validated by
+    :func:`~lindtop.majorana.check_covariance`; a ``block_dim`` that is not
+    an integer in ``[0, n)``, and a path point whose dimension is not
+    ``gamma0``'s n, raise ``ValueError``.
 
     Gamma is carried in the eigenbasis ``V`` of the current step's X: it
     enters once as ``V^T Gamma0 V``, each step rotates it by
     ``O = V_prev^T V`` and applies the closed-form tables, and it leaves once
-    as ``V Gt V^T``.  ``eigh(X)`` and the tables do not depend on Gamma, so
-    one worker thread computes step i + 1's while this thread updates Gamma
-    for step i; it publishes ``eigh(X)`` first, so the gap check and the next
-    path point wait only for that.  ``schedule.path`` and
-    ``schedule.hamiltonian`` are called on this thread only, once per point,
-    in the order of the steps.
+    as ``V Gt V^T``.  ``_eigenbasis`` and the tables do not depend on Gamma,
+    so one worker thread computes step i + 1's while this thread updates
+    Gamma for step i; it publishes ``_eigenbasis`` first, so the gap check
+    and the next path point wait only for that.  ``schedule.path`` is called
+    on this thread only, once per point, in order: s = 0, the midpoints and
+    s = 1 when tracking, the midpoints alone otherwise.
     """
     gamma0 = check_covariance(gamma0)
     n = gamma0.shape[0]
     if not (isinstance(block_dim, numbers.Integral) and 0 <= block_dim < n):
         raise ValueError(f"block_dim must be an integer in [0, {n}), got {block_dim!r}")
     dt = schedule.total_time / schedule.steps
-    tau = dt if schedule.hamiltonian is None else 0.5 * dt
     mids = [(i + 0.5) / schedule.steps for i in range(schedule.steps)]
     track = block_dim > 0
     min_gap = np.inf
@@ -179,41 +169,44 @@ def adiabatic_evolve(
                              f"{d.num_majoranas}, but gamma0 is {n}x{n}")
         return d
 
+    def follow(Q: np.ndarray, eig, s: float) -> np.ndarray:
+        nonlocal min_gap
+        Qn, gap = _kernel_frame(eig, block_dim, s)
+        min_gap = min(min_gap, gap)
+        return _align(Q, Qn)
+
     if track:
-        d = point(0.0)
-        Q0, min_gap = _kernel_frame(d, np.linalg.eigh(d.X), block_dim, 0.0)
+        Q0, min_gap = _kernel_frame(_eigenbasis(point(0.0)), block_dim, 0.0)
         Q = Q0
         block0 = Q0.T @ gamma0 @ Q0
     Gt, V_prev = gamma0, None
     with ThreadPoolExecutor(max_workers=1) as worker:
 
-        def submit(d: Dissipator):
-            eig = worker.submit(np.linalg.eigh, d.X)
-            return eig, worker.submit(_tables, d, eig, tau)
+        def submit(s: float):
+            # Only the worker holds the dissipator, until its tables are built.
+            d = point(s)
+            eig = worker.submit(_eigenbasis, d)
+            return eig, worker.submit(_tables, d, eig, dt)
 
-        d = point(mids[0])
-        eig, tables = submit(d)
+        eig, tables = submit(mids[0])
         for i, s_mid in enumerate(mids):
-            kappa, V = eig.result()
+            frame = eig.result()
             if track:
-                Qn, gap = _kernel_frame(d, (kappa, V), block_dim, s_mid)
-                min_gap = min(min_gap, gap)
-                Q = _align(Q, Qn)
-            h = None if schedule.hamiltonian is None else schedule.hamiltonian(s_mid)
-            d = None    # the worker holds d until its tables are built
+                Q = follow(Q, frame, s_mid)
             step = tables
             if i + 1 < len(mids):
-                d = point(mids[i + 1])
-                eig, tables = submit(d)
+                eig, tables = submit(mids[i + 1])
+            elif track:
+                eig = worker.submit(_eigenbasis, point(1.0))
+            V = frame[1]
             O = V if V_prev is None else V_prev.T @ V
             Gt = check_covariance(O.T @ Gt @ O)
             decay, rampY = step.result()
             Gt = decay * Gt + rampY
-            if h is not None:
-                R = V.T @ expm(np.asarray(h, float) * dt) @ V
-                Gt = decay * (R @ Gt @ R.T) + rampY
             Gt = 0.5 * (Gt - Gt.T)
             V_prev = V
+        if track:
+            Q = follow(Q, eig.result(), 1.0)
     gamma = V_prev @ Gt @ V_prev.T
     gamma = 0.5 * (gamma - gamma.T)
     if not track:

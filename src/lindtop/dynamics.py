@@ -64,6 +64,13 @@ class SteadyStateResult:
 
 
 def _eigenbasis(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kappa, V, zero)``: the finite layer's one ``eigh(X)`` and one zero-rate mask.
+
+    The rates ``kappa`` are clipped at 0, and ``zero = kappa <= default_tol(X)``
+    marks the decoherence-free modes.  ``steady_state``, ``evolve``,
+    ``zero_damping_modes``, the census and every frame of
+    ``adiabatic_evolve`` read X through it.
+    """
     kappa, V = np.linalg.eigh(d.X)
     kappa = np.clip(kappa, 0.0, None)
     return kappa, V, kappa <= default_tol(d.X)
@@ -74,21 +81,15 @@ def _rotated_Y(d: Dissipator, V: np.ndarray) -> np.ndarray:
     return V.T @ d.Y @ V
 
 
-def _frame(d: Dissipator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(kappa, V, V^T Y V)`` with ``(kappa, V) = eigh(X)``: what a step needs of ``d``."""
-    kappa, V = np.linalg.eigh(d.X)
-    return kappa, V, _rotated_Y(d, V)
-
-
 def _step_tables(kappa: np.ndarray, Yt: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
     """``(decay, ramp * Yt)`` of the closed-form step of length ``t``; ``Yt`` is overwritten.
 
-    With ``S_ab = kappa_a + kappa_b`` (rates clipped at 0), ``decay = e^{-S t}``
-    and ``ramp = (1 - e^{-S t}) / S``, whose limit ``t`` is taken where
-    ``S t < _SERIES_CUTOFF``.  A step in the eigenbasis is then
-    ``Gt -> decay * Gt + ramp * Yt``.  The tables do not depend on Gamma.
+    With ``S_ab = kappa_a + kappa_b`` (the rates of :func:`_eigenbasis`, already
+    clipped at 0), ``decay = e^{-S t}`` and ``ramp = (1 - e^{-S t}) / S``,
+    whose limit ``t`` is taken where ``S t < _SERIES_CUTOFF``.  A step in the
+    eigenbasis is then ``Gt -> decay * Gt + ramp * Yt``.  The tables do not
+    depend on Gamma.
     """
-    kappa = np.clip(kappa, 0.0, None)
     S = np.add.outer(kappa, kappa)
     decay = np.multiply(S, -t)
     small = decay > -_SERIES_CUTOFF
@@ -118,9 +119,8 @@ def steady_state(
         If ``Y`` does not vanish on a zero-rate block (inconsistent
         dissipator: fluctuations with no damping to balance them).
     """
-    kappa, V, Yt = _frame(d)
-    kappa = np.clip(kappa, 0.0, None)
-    zero = kappa <= default_tol(d.X)
+    kappa, V, zero = _eigenbasis(d)
+    Yt = _rotated_Y(d, V)
     S = kappa[:, None] + kappa[None, :]
     dead = zero[:, None] & zero[None, :]
     y_on_kernel = np.abs(Yt[dead]).max() if dead.any() else 0.0
@@ -152,8 +152,8 @@ def evolve(d: Dissipator, gamma0: np.ndarray, t: float) -> np.ndarray:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"evolution time must be finite and nonnegative, got {t}")
     gamma0 = check_covariance(gamma0)
-    kappa, V, Yt = _frame(d)
-    decay, rampY = _step_tables(kappa, Yt, t)
+    kappa, V, _ = _eigenbasis(d)
+    decay, rampY = _step_tables(kappa, _rotated_Y(d, V), t)
     Gt = decay * (V.T @ gamma0 @ V) + rampY
     gamma = V @ Gt @ V.T
     return 0.5 * (gamma - gamma.T)

@@ -104,7 +104,8 @@ class Dissipator:
     Attributes
     ----------
     X : (2N, 2N) real ndarray
-        Symmetric positive-semidefinite damping matrix.
+        Symmetric positive-semidefinite damping matrix, N >= 1; any other
+        dimension raises ``ValueError``.
     Y : (2N, 2N) real ndarray
         Antisymmetric fluctuation matrix; it is the coefficient matrix of
         the parent Hamiltonian ``sum_i L_i^dag L_i = tr(X)/2 - (i/4) sum_jk
@@ -120,6 +121,9 @@ class Dissipator:
         X, Y = np.asarray(self.X, float), np.asarray(self.Y, float)
         if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise ValueError("X and Y must be square matrices of equal shape")
+        n = X.shape[0]
+        if n < 2 or n % 2:
+            raise ValueError(f"Majorana dimension must be even and >= 2, got {n}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         _check_finite("X", X)
@@ -133,17 +137,16 @@ class Dissipator:
         np.add(Y, Y.T, out=buf)
         if np.abs(buf, out=buf).max() > tol:
             raise ValueError("Y is not antisymmetric")
-        if X.size:
-            # X >= -tol*I, proved by a Cholesky factorization of X + tol*I; the
-            # eigenvalue for the message is computed only when it fails.
-            np.copyto(buf, X)
-            buf.flat[:: X.shape[0] + 1] += tol
-            if not _is_positive_definite(buf):
-                lam = np.linalg.eigvalsh(X)[0]
-                raise ValueError(
-                    f"X is not positive semidefinite: smallest eigenvalue {lam:.6g}, "
-                    f"tol {tol:.6g}"
-                )
+        # X >= -tol*I, proved by a Cholesky factorization of X + tol*I; the
+        # eigenvalue for the message is computed only when it fails.
+        np.copyto(buf, X)
+        buf.flat[:: n + 1] += tol
+        if not _is_positive_definite(buf):
+            lam = np.linalg.eigvalsh(X)[0]
+            raise ValueError(
+                f"X is not positive semidefinite: smallest eigenvalue {lam:.6g}, "
+                f"tol {tol:.6g}"
+            )
 
     @property
     def num_majoranas(self) -> int:
@@ -182,7 +185,8 @@ def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[in
     num_majoranas : int, optional
         Required when ``lindblads`` is empty (the zero dissipator needs an
         explicit dimension); otherwise, when given, it must equal the length
-        of the vectors.
+        of the vectors.  :class:`Dissipator` refuses a dimension that is not
+        even and at least 2.
     """
     vecs = [np.asarray(l, dtype=complex) for l in lindblads]
     if not vecs and num_majoranas is None:
@@ -193,8 +197,6 @@ def build_dissipator(lindblads: Sequence[np.ndarray], num_majoranas: Optional[in
     for i, v in enumerate(vecs):
         if v.ndim != 1 or v.size != n:
             raise ValueError(f"operator {i} has shape {v.shape}, expected ({n},)")
-    if vecs and (n < 2 or n % 2):
-        raise ValueError(f"Majorana dimension must be even and >= 2, got {n}")
     return _gram(sp.csr_matrix(np.array(vecs, dtype=complex).reshape(len(vecs), n)))
 
 
@@ -213,6 +215,8 @@ def _antisymmetric_with_tol(gamma: np.ndarray) -> Tuple[np.ndarray, float]:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError("covariance matrix must be square")
+    if not gamma.size:
+        raise ValueError("covariance matrix is empty (0x0)")
     _check_finite("covariance matrix", gamma)
     tol = default_tol(gamma)
     if np.abs(gamma + gamma.T).max() > tol:
@@ -231,15 +235,14 @@ def check_covariance(gamma: np.ndarray) -> np.ndarray:
     eigenvalue is computed only when it fails.
     """
     gamma, tol = _antisymmetric_with_tol(gamma)
-    if gamma.size:
-        gram = gamma.T @ gamma
-        slack = -gram
-        slack.flat[:: gamma.shape[0] + 1] += 1.0 + tol
-        if not _is_positive_definite(slack):
-            w = np.linalg.eigvalsh(gram)[-1]
-            raise ValueError(
-                f"eigenvalues of (i*Gamma)^2 outside [0, 1]: largest {w:.17g}, tol {tol:.6g}"
-            )
+    gram = gamma.T @ gamma
+    slack = -gram
+    slack.flat[:: gamma.shape[0] + 1] += 1.0 + tol
+    if not _is_positive_definite(slack):
+        w = np.linalg.eigvalsh(gram)[-1]
+        raise ValueError(
+            f"eigenvalues of (i*Gamma)^2 outside [0, 1]: largest {w:.17g}, tol {tol:.6g}"
+        )
     return gamma
 
 

@@ -356,6 +356,24 @@ def test_braid_frame_jump_exits_3():
     assert "numerical failure" in res.output and "frame jump" in res.output
 
 
+def test_braid_row_is_the_library_exchange():
+    from lindtop.braiding import AdiabaticSchedule, braid_via_schedule, vortex_exchange_path
+    from lindtop.dynamics import steady_state
+    from lindtop.models import cross_2d
+
+    args = ("braid", "--model", "cross2d", "--beta", "2", "--lattice", "8x8",
+            "--separation", "4", "--times", "3", "--dt", "0.25")
+    res = run_cli(*args)
+    assert res.exit_code == 0
+    _, header, rows = parse_csv(res.stdout)
+    assert header == ["total_time", "leakage", "fidelity_error", "min_gap"]
+    path = vortex_exchange_path(cross_2d(beta=2.0), (8, 8), 4.0, 0.7)
+    rep = braid_via_schedule(AdiabaticSchedule(path, 3.0, 12), steady_state(path(0.0)).gamma)
+    assert [[float(x) for x in row] for row in rows] == [
+        [3.0, rep.leakage, rep.fidelity_error, rep.min_gap]]
+    assert run_cli(*args).stdout == res.stdout
+
+
 @pytest.mark.parametrize("command", ["vortex", "braid", "edge-modes"])
 def test_tol_only_on_momentum_commands(command):
     # --tol is a gap tolerance of spectrum, sweep and invariant only.

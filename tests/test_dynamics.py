@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import expm
 
 from lindtop.braiding import AdiabaticSchedule, adiabatic_evolve
 from lindtop.dynamics import (
@@ -57,39 +56,6 @@ def test_evolve_long_time_is_steady_state(seed, num_modes, num_ops):
     assert np.allclose(g, steady_state(d, initial=g0).gamma, atol=1e-9)
 
 
-def _dense_flow(d, h, g0, t):
-    """``expm`` of the affine superoperator of dGamma/dt = [h, G] - {X, G} + Y."""
-    n = g0.shape[0]
-    # [h, G] - {X, G} = A G + G A^T with A = h - X, and for row-major vec
-    # vec(A G) = (A kron I) vec(G), vec(G A^T) = (I kron A) vec(G).
-    A = h - d.X
-    aug = np.zeros((n * n + 1, n * n + 1))
-    aug[:-1, :-1] = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A)
-    aug[:-1, -1] = d.Y.ravel()
-    return (expm(aug * t) @ np.append(g0.ravel(), 1.0))[:-1].reshape(n, n)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 3))
-def test_strang_splitting_is_second_order(seed, num_sites):
-    # A static dissipator and a static h: Strang splitting is the only error,
-    # so it matches the dense reference and falls 4x per halving of dt.
-    rng = np.random.default_rng(seed)
-    n = 2 * num_sites
-    ops = random_generic_family(rng, num_sites, int(rng.integers(1, num_sites + 1)))
-    d = build_dissipator([0.5 * l for l in ops], num_majoranas=n)
-    B = rng.standard_normal((n, n))
-    h = B - B.T
-    g0 = random_covariance(rng, n)
-    ref = _dense_flow(d, h, g0, 1.0)
-    errs = []
-    for steps in (16, 32):
-        sched = AdiabaticSchedule(lambda s: d, 1.0, steps, hamiltonian=lambda s: h)
-        errs.append(np.abs(adiabatic_evolve(sched, g0).gamma - ref).max())
-    assert errs[1] < 1e-2
-    assert 3.5 < errs[0] / errs[1] < 4.5
-
-
 def test_evolve_semigroup(rng):
     ops = random_generic_family(rng, 3, 3)
     d = build_dissipator(ops)
@@ -124,6 +90,24 @@ def test_counting_law_dim_ker(seed, num_modes):
     G = np.array(ops)
     for v in modes:
         assert np.abs(G @ v).max() <= 100 * np.sqrt(default_tol(d.X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.data())
+def test_adiabatic_gap_check_uses_the_zero_damping_mask(seed, num_modes, data):
+    # A static path refuses a block of b modes exactly when ker X, as
+    # zero_damping_modes counts it, has more than b modes.
+    rng = np.random.default_rng(seed)
+    num_ops = data.draw(st.integers(1, num_modes - 1))
+    block_dim = data.draw(st.integers(1, 2 * num_modes - 1))
+    d = build_dissipator(random_generic_family(rng, num_modes, num_ops))
+    gamma0 = random_covariance(rng, 2 * num_modes)
+    sched = AdiabaticSchedule(lambda s: d, 1.0, 2)
+    if len(zero_damping_modes(d)) > block_dim:
+        with pytest.raises(ValueError, match="is closed"):
+            adiabatic_evolve(sched, gamma0, block_dim=block_dim)
+    else:
+        adiabatic_evolve(sched, gamma0, block_dim=block_dim)
 
 
 def test_steady_state_kernel_filled_from_initial(rng):

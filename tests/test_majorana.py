@@ -118,6 +118,23 @@ def test_build_dissipator_validates_input():
         build_dissipator([np.array([1.0, 0.0, 0.0])])  # odd length
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_impossible_majorana_dimensions_are_refused_by_name(n):
+    # One check, in Dissipator: an empty operator list of dimension n builds
+    # an n x n dissipator, and a direct 0 x 0 pair is refused alike.
+    with pytest.raises(ValueError, match=f"even and >= 2, got {n}"):
+        build_dissipator([], num_majoranas=n)
+    with pytest.raises(ValueError, match=f"even and >= 2, got {n}"):
+        Dissipator(np.zeros((n, n)), np.zeros((n, n)))
+    assert build_dissipator([], num_majoranas=2).X.shape == (2, 2)
+
+
+@pytest.mark.parametrize("validate", [check_covariance, purity_spectrum])
+def test_empty_covariance_is_refused_by_name(validate):
+    with pytest.raises(ValueError, match="covariance matrix is empty"):
+        validate(np.zeros((0, 0)))
+
+
 def _random_csr(rng, rows, cols):
     """Sparse complex rows, some purely real and some purely imaginary."""
     re = sp.random(rows, cols, density=0.3, random_state=rng, format="csr")
